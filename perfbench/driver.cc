@@ -5,11 +5,11 @@
 //   serve-mix                  open-loop multi-tenant serving through a
 //                              2-shard ShardRouter
 //
-// Flags come from perfbench/spec.json through run.py, which runs several
-// processes per run and takes medians:
-//   --workload NAME --seed N --seconds S --trace 0|1 --process P plus the
-//   workload's parameters (--kind, --dataset, --scale, --steps, ... see
-//   spec.json).
+// run.py runs several processes per run and takes medians. Flags:
+//   --workload NAME --seed N --seconds S --trace 0|1 --process P, and for
+//   the step workloads the parameters that differ between them (--dataset,
+//   --scale, --setup-reps, --label-accuracy-floor, from spec.json). Every
+//   other parameter is a constant below; spec.json documents them.
 //
 // With --trace 0 the tracer stays off and the last stdout line carries the
 // end-to-end metrics; with --trace 1 untraced and traced passes alternate
@@ -75,6 +75,42 @@ double PeakRssMb() {
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
+
+// ------------------------------------------------------- parameters ----
+
+/// The corpus (and serve-mix's trained tenants) is fixed per workload, as in
+/// one labelling project; --seed drives the session or the traffic.
+constexpr uint64_t kDatasetSeed = 1;
+/// Steps per session: 200 puts ten samples beyond the p95.
+constexpr int kSessionSteps = 200;
+/// Untraced sessions a step run measures at least.
+constexpr int kMinSessions = 2;
+
+/// serve-mix: the two tenants, trained with ActiveDP and exported.
+struct TenantSpec {
+  const char* kind;
+  const char* dataset;
+  double scale;
+  int steps;
+};
+constexpr TenantSpec kTenantSpecs[] = {{"text", "imdb", 0.25, 100},
+                                       {"tabular", "occupancy", 0.25, 100}};
+/// Fixed open-loop rates: the 2 ms batching timer sets latency at the low
+/// rate, batches fill at the high one.
+constexpr double kLowRps = 2000.0;
+constexpr double kHighRps = 50000.0;
+/// Range and resolution of the serve_max_rps bisection.
+constexpr double kMaxRpsCap = 400000.0;
+constexpr double kMinRpsFloor = 500.0;
+constexpr double kBisectResolution = 0.04;
+constexpr int kBisectProbes = 7;
+/// Shares of --seconds for the low and high phases; the rest is split evenly
+/// over the bisection probes.
+constexpr double kLowShare = 0.3;
+constexpr double kHighShare = 0.15;
+/// Full batches timed off the load path for the guarded serve compute
+/// metrics.
+constexpr int kServiceBatches = 2000;
 
 // ------------------------------------------------------------ flags ----
 
@@ -154,6 +190,14 @@ class Report {
 
   void Metric(const std::string& name, double value, const std::string& unit) {
     metrics_.emplace_back(name, std::make_pair(value, unit));
+  }
+
+  /// A per-layer metric of a traced run, printed and put in the result.
+  /// run.py checks the names against BENCHMARK.json and reports 0 for the
+  /// layers a workload does not exercise.
+  void Layer(const std::string& name, double value, const std::string& unit) {
+    Line(name, value, unit);
+    Metric(name, value, unit);
   }
 
   void Count(int64_t attempted, int64_t failed) {
@@ -309,74 +353,6 @@ HistogramDelta DeltaOf(const MetricsSnapshot& before,
   return d;
 }
 
-// ------------------------------------------------- per-layer catalogue ----
-
-/// Every per-layer metric name with its unit, in BENCHMARK.json order. A
-/// traced run prints all of them; a layer the workload does not exercise
-/// reads 0.
-const std::vector<std::pair<std::string, std::string>>& PerLayerCatalogue() {
-  static const auto* names =
-      new std::vector<std::pair<std::string, std::string>>{
-          {"active.select_ms", "ms"},
-          {"lf.apply_ms", "ms"},
-          {"lf.oracle_ms", "ms"},
-          {"ml.al_fit_ms", "ms"},
-          {"ml.lr_fit_ms", "ms"},
-          {"ml.lr_epochs_per_fit", "count"},
-          {"core.label_pick.self_ms", "ms"},
-          {"labelmodel.fit_ms", "ms"},
-          {"labelmodel.validation_fit_ms", "ms"},
-          {"labelmodel.predict_ms", "ms"},
-          {"labelmodel.fits_per_step", "count"},
-          {"core.step.self_ms", "ms"},
-          {"core.step.p50_ms.q1", "ms"},
-          {"core.step.p50_ms.q2", "ms"},
-          {"core.step.p50_ms.q3", "ms"},
-          {"core.step.p50_ms.q4", "ms"},
-          {"lf.response_ratio", "ratio"},
-          {"core.label_pick.kept_ratio", "ratio"},
-          {"core.confusion_ms", "ms"},
-          {"core.end_model_ms", "ms"},
-          {"data.generate_ms", "ms"},
-          {"ml.featurize_ms", "ms"},
-          {"quality.label_accuracy", "ratio"},
-          {"quality.label_coverage", "ratio"},
-          {"serve.admit_us", "us"},
-          {"serve.batch_size.mean.low", "count"},
-          {"serve.batch_size.mean.high", "count"},
-          {"serve.queue_wait_ms.p50.low", "ms"},
-          {"serve.queue_wait_ms.p50.high", "ms"},
-          {"serve.batch_ms.p99.high", "ms"},
-          {"serve.featurize_ms", "ms"},
-          {"serve.predict_batch_ms", "ms"},
-          {"serve.snapshot.predict_us_per_row.text", "us"},
-          {"serve.snapshot.predict_us_per_row.tabular", "us"},
-          {"serve.dispatcher_busy_ratio", "ratio"},
-          {"serve.shed", "count"},
-          {"serve.rejected", "count"},
-          {"serve.router.shed", "count"},
-          {"serve.generator_late_ms.p99", "ms"},
-          {"trace.overhead_ms", "ms"},
-          {"trace.overhead_pct", "%"},
-      };
-  return *names;
-}
-
-void EmitPerLayer(Report& report, const std::map<std::string, double>& values) {
-  for (const auto& [name, unit] : PerLayerCatalogue()) {
-    const auto it = values.find(name);
-    const double v = it == values.end() ? 0.0 : it->second;
-    report.Line(name, v, unit);
-    report.Metric(name, v, unit);
-  }
-  for (const auto& [name, v] : values) {
-    bool known = false;
-    for (const auto& entry : PerLayerCatalogue()) known |= entry.first == name;
-    if (!known) std::fprintf(stderr, "per-layer metric %s not catalogued\n",
-                             name.c_str());
-  }
-}
-
 // ------------------------------------------------------------ set-up ----
 
 /// A generated dataset and its featurized context (the context points into
@@ -514,13 +490,9 @@ int RunStepWorkload(const Flags& flags, Report& report) {
   const bool trace = flags.Int("trace") != 0;
   const std::string dataset = flags.Str("dataset");
   const double scale = flags.Num("scale");
-  const int steps = flags.Int("steps");
+  const int steps = kSessionSteps;
   const int setup_reps = flags.Int("setup-reps");
-  const int min_sessions = flags.Int("min-sessions");
   const double floor = flags.Num("label-accuracy-floor");
-  // The corpus is fixed per workload, as in one labelling project; --seed
-  // drives the session (sampler and simulated user).
-  const uint64_t data_seed = static_cast<uint64_t>(flags.Int("dataset-seed"));
 
   // Set-up: generate + featurize, repeated; the median is setup_s and every
   // repetition must featurize bit-identically.
@@ -530,7 +502,7 @@ int RunStepWorkload(const Flags& flags, Report& report) {
   for (int rep = 0; rep < setup_reps; ++rep) {
     data = Prepared{};  // free the previous copy before building the next
     const Clock::time_point t0 = Clock::now();
-    data = Prepare(dataset, scale, data_seed);
+    data = Prepare(dataset, scale, kDatasetSeed);
     setup_s.push_back(SecondsSince(t0));
     generate_ms.push_back(data.generate_s * 1000.0);
     featurize_ms.push_back(data.featurize_s * 1000.0);
@@ -558,7 +530,7 @@ int RunStepWorkload(const Flags& flags, Report& report) {
   for (int i = 0;; ++i) {
     const bool enough =
         trace ? !plain.empty() && !traced.empty()
-              : static_cast<int>(plain.size()) >= min_sessions;
+              : static_cast<int>(plain.size()) >= kMinSessions;
     const double elapsed = SecondsSince(start);
     if (enough && elapsed + elapsed / i > seconds) break;
     const bool traced_session = trace && i % 2 == 1;
@@ -657,24 +629,31 @@ int RunStepWorkload(const Flags& flags, Report& report) {
   // session for the once-per-session stages).
   const double traced_steps = static_cast<double>(traced.size()) * steps;
   const double sessions = static_cast<double>(traced.size());
-  std::map<std::string, double> v;
-  v["active.select_ms"] = spans.total_ms("sampler.select") / traced_steps;
-  v["lf.apply_ms"] = spans.total_ms("lf.apply") / traced_steps;
-  v["lf.oracle_ms"] = spans.total_ms("oracle.create_lf") / traced_steps;
-  v["ml.al_fit_ms"] = spans.self_ms("al_model.fit") / traced_steps;
-  v["ml.lr_fit_ms"] = spans.under_ms("lr.fit", "activedp.step") / traced_steps;
-  v["ml.lr_epochs_per_fit"] =
-      spans.count("lr.fit") > 0
-          ? static_cast<double>(lr_epochs) / spans.count("lr.fit")
-          : 0.0;
-  v["core.label_pick.self_ms"] = spans.self_ms("label_pick") / traced_steps;
-  v["labelmodel.fit_ms"] = spans.total_ms("label_model.fit") / traced_steps;
-  v["labelmodel.validation_fit_ms"] =
-      spans.under_ms("metal.fit", "label_pick") / traced_steps;
-  v["labelmodel.predict_ms"] =
-      spans.total_ms("label_model.predict") / traced_steps;
-  v["labelmodel.fits_per_step"] = metal_fits / traced_steps;
-  v["core.step.self_ms"] = spans.self_ms("activedp.step") / traced_steps;
+  report.Layer("active.select_ms",
+               spans.total_ms("sampler.select") / traced_steps, "ms");
+  report.Layer("lf.apply_ms", spans.total_ms("lf.apply") / traced_steps, "ms");
+  report.Layer("lf.oracle_ms",
+               spans.total_ms("oracle.create_lf") / traced_steps, "ms");
+  report.Layer("ml.al_fit_ms", spans.self_ms("al_model.fit") / traced_steps,
+               "ms");
+  report.Layer("ml.lr_fit_ms",
+               spans.under_ms("lr.fit", "activedp.step") / traced_steps, "ms");
+  report.Layer("ml.lr_epochs_per_fit",
+               spans.count("lr.fit") > 0
+                   ? static_cast<double>(lr_epochs) / spans.count("lr.fit")
+                   : 0.0,
+               "count");
+  report.Layer("core.label_pick.self_ms",
+               spans.self_ms("label_pick") / traced_steps, "ms");
+  report.Layer("labelmodel.fit_ms",
+               spans.total_ms("label_model.fit") / traced_steps, "ms");
+  report.Layer("labelmodel.validation_fit_ms",
+               spans.under_ms("metal.fit", "label_pick") / traced_steps, "ms");
+  report.Layer("labelmodel.predict_ms",
+               spans.total_ms("label_model.predict") / traced_steps, "ms");
+  report.Layer("labelmodel.fits_per_step", metal_fits / traced_steps, "count");
+  report.Layer("core.step.self_ms",
+               spans.self_ms("activedp.step") / traced_steps, "ms");
   // The step curve by session quarter, from the driver's own step spans
   // (recorded in session order, so index % steps is the step index).
   const std::vector<double> traced_step_ms = spans.durations_ms("bench.step");
@@ -684,29 +663,34 @@ int RunStepWorkload(const Flags& flags, Report& report) {
       const int t = static_cast<int>(i % steps);
       if (t * 4 / steps == q) quarter.push_back(traced_step_ms[i]);
     }
-    v["core.step.p50_ms.q" + std::to_string(q + 1)] = Median(quarter);
+    report.Layer("core.step.p50_ms.q" + std::to_string(q + 1), Median(quarter),
+                 "ms");
   }
-  v["lf.response_ratio"] = static_cast<double>(first.lfs) / steps;
+  report.Layer("lf.response_ratio", static_cast<double>(first.lfs) / steps,
+               "ratio");
   const int64_t offered = spans.arg_sum("label_pick", "num_lfs");
-  v["core.label_pick.kept_ratio"] =
+  report.Layer(
+      "core.label_pick.kept_ratio",
       offered > 0
           ? static_cast<double>(spans.arg_sum("label_pick", "kept")) / offered
-          : 0.0;
-  v["core.confusion_ms"] = spans.total_ms("confusion") / sessions;
-  v["core.end_model_ms"] = spans.total_ms("bench.end_model") / sessions;
-  v["data.generate_ms"] = Median(generate_ms);
-  v["ml.featurize_ms"] = Median(featurize_ms);
-  v["quality.label_accuracy"] = first.label_accuracy;
-  v["quality.label_coverage"] = first.label_coverage;
+          : 0.0,
+      "ratio");
+  report.Layer("core.confusion_ms", spans.total_ms("confusion") / sessions,
+               "ms");
+  report.Layer("core.end_model_ms",
+               spans.total_ms("bench.end_model") / sessions, "ms");
+  report.Layer("data.generate_ms", Median(generate_ms), "ms");
+  report.Layer("ml.featurize_ms", Median(featurize_ms), "ms");
+  report.Layer("quality.label_accuracy", first.label_accuracy, "ratio");
+  report.Layer("quality.label_coverage", first.label_coverage, "ratio");
   std::vector<double> traced_session_s;
   for (const SessionResult& s : traced) traced_session_s.push_back(s.session_s);
   const double overhead_s = Median(traced_session_s) - session;
-  v["trace.overhead_ms"] = overhead_s * 1000.0;
-  v["trace.overhead_pct"] = 100.0 * overhead_s / session;
+  report.Layer("trace.overhead_ms", overhead_s * 1000.0, "ms");
+  report.Layer("trace.overhead_pct", 100.0 * overhead_s / session, "%");
   report.Note("tracing overhead: traced session_s " +
               std::to_string(Median(traced_session_s)) + " vs untraced " +
               std::to_string(session));
-  EmitPerLayer(report, v);
   return 0;
 }
 
@@ -724,15 +708,15 @@ struct Tenant {
   std::vector<int> truth;
 };
 
-/// Generates, featurizes, runs `steps` ActiveDP steps and exports the
+/// Generates, featurizes, runs the spec's ActiveDP steps and exports the
 /// snapshot. Returns false when any step or the export fails.
-bool TrainTenant(Tenant& tenant, const std::string& dataset, double scale,
-                 int steps, uint64_t seed) {
-  tenant.data = Prepare(dataset, scale, seed);
+bool TrainTenant(Tenant& tenant, const TenantSpec& spec) {
+  tenant.kind = spec.kind;
+  tenant.data = Prepare(spec.dataset, spec.scale, kDatasetSeed);
   ActiveDpOptions options;
-  options.seed = seed;
+  options.seed = kDatasetSeed;
   ActiveDp pipeline(*tenant.data.context, options);
-  for (int t = 0; t < steps; ++t) {
+  for (int t = 0; t < spec.steps; ++t) {
     TraceSpan span("bench.step");
     if (!pipeline.Step().ok()) return false;
   }
@@ -793,8 +777,6 @@ struct PhaseResult {
   double p50_ms = 0.0;
   double p90_ms = 0.0;
   double p99_ms = 0.0;
-  /// Requests per second (by issue/due time), median over windows.
-  double rps = 0.0;
   int64_t mismatches = 0;
   int64_t correct_labels = 0;
   double wall_ms = 0.0;
@@ -804,20 +786,15 @@ struct PhaseResult {
   std::vector<double> window_p99_ms;
 };
 
-/// One load phase of `seconds` over a 50/50 tenant mix of held-out test rows.
+/// One open-loop phase of `seconds` over a 50/50 tenant mix of held-out test
+/// rows: Poisson arrivals at `rate`; every arrival due by "now" is issued on
+/// each wake-up and each latency is timed from its due time.
 ///
-/// Open loop (in_flight == 0): Poisson arrivals at `rate`; every arrival due
-/// by "now" is issued on each wake-up and each latency is timed from its due
-/// time. Closed loop (in_flight > 0): a new request is issued whenever fewer
-/// than `in_flight` are outstanding (at most rate * seconds of them), so the
-/// dispatchers always have full batches queued; latency is timed from issue.
-///
-/// Percentiles and throughput are the median over equal windows of the
-/// phase.
+/// Percentiles are the median over equal windows of the phase.
 PhaseResult RunPhase(activedp::ShardRouter& router, std::vector<Tenant>& tenants,
                      double rate, double seconds, uint64_t seed,
-                     bool span_admission, int in_flight = 0) {
-  size_t n = static_cast<size_t>(std::max(1.0, rate * seconds));
+                     bool span_admission) {
+  const size_t n = static_cast<size_t>(std::max(1.0, rate * seconds));
   // As many windows as keep >= 1,200 expected requests in each (a p99 needs
   // 1,000 for ten samples beyond it), at most ten.
   const int windows =
@@ -856,20 +833,6 @@ PhaseResult RunPhase(activedp::ShardRouter& router, std::vector<Tenant>& tenants
     }
   };
   size_t next = 0;
-  if (in_flight > 0) {
-    const int64_t end_ns = static_cast<int64_t>(seconds * 1e9);
-    while (next < n) {
-      const int64_t now = state->Now();
-      if (now >= end_ns) break;
-      if (static_cast<int64_t>(next) -
-              state->completed.load(std::memory_order_acquire) <
-          in_flight) {
-        state->due_ns[next] = now;
-        issue(next++);
-      }
-    }
-    n = next;
-  }
   while (next < n) {
     int64_t now = state->Now();
     while (next < n && state->due_ns[next] <= now) {
@@ -924,7 +887,7 @@ PhaseResult RunPhase(activedp::ShardRouter& router, std::vector<Tenant>& tenants
     }
     if (back) last_done = std::max(last_done, state->done_ns[i]);
   }
-  std::vector<double> p50s, p90s, p99s, late_p99s, rps;
+  std::vector<double> p50s, p90s, p99s, late_p99s;
   r.min_window_samples = static_cast<int64_t>(n);
   for (int w = 0; w < windows; ++w) {
     r.min_window_samples =
@@ -933,11 +896,9 @@ PhaseResult RunPhase(activedp::ShardRouter& router, std::vector<Tenant>& tenants
     p90s.push_back(Quantile(latency_ms[w], 0.90));
     p99s.push_back(Quantile(latency_ms[w], 0.99));
     late_p99s.push_back(Quantile(late_ms[w], 0.99));
-    rps.push_back(latency_ms[w].size() * 1e9 / window_ns);
   }
   r.window_p99_ms = p99s;
   r.windows = windows;
-  r.rps = Median(rps);
   r.p50_ms = Median(p50s);
   r.p90_ms = Median(p90s);
   r.p99_ms = Median(p99s);
@@ -967,125 +928,69 @@ std::string PhaseSummary(const std::string& name, double rate,
   return out;
 }
 
-/// Driver-timed PredictBatch / featurize at a given batch size, off the load
-/// path: median over repeats of one batch of test rows.
-struct SnapshotTiming {
-  double predict_batch_ms = 0.0;
-  double featurize_ms = 0.0;
-  double us_per_row = 0.0;
-};
+/// Work done on one batch of test rows; returns the rows it handled.
+using BatchWork =
+    std::function<size_t(const Tenant&, const std::vector<Example>&)>;
 
-/// Service time of full batches, timed off the load path: `batches`
-/// PredictBatch calls of `batch_size` test rows, alternating tenants and
-/// walking through the test rows. This is what a dispatcher spends per batch
-/// once a batch is formed, without the queueing and thread wake-ups that
+size_t PredictRows(const Tenant& tenant, const std::vector<Example>& batch) {
+  return tenant.snapshot->PredictBatch(batch).size();
+}
+
+size_t FeaturizeRows(const Tenant& tenant, const std::vector<Example>& batch) {
+  size_t rows = 0;
+  for (const Example& e : batch) {
+    tenant.data.context->featurizer->Transform(e);
+    ++rows;
+  }
+  return rows;
+}
+
+/// Milliseconds of `batches` calls of `work` on `batch_size` test rows,
+/// timed off the load path, cycling through `tenants` and walking through
+/// their test rows. With PredictBatch this is what a dispatcher spends per
+/// batch once it is formed, without the queueing and thread wake-ups that
 /// make served latency follow the host's scheduling.
-std::vector<double> FullBatchServiceMs(const std::vector<Tenant>& tenants,
-                                       int batch_size, int batches) {
+std::vector<double> TimeBatchesMs(const std::vector<const Tenant*>& tenants,
+                                  int batch_size, int batches,
+                                  const BatchWork& work) {
   std::vector<double> ms;
   std::vector<Example> batch;
   for (int b = 0; b < batches; ++b) {
-    const Tenant& tenant = tenants[b % tenants.size()];
+    const Tenant& tenant = *tenants[b % tenants.size()];
     const activedp::Dataset& test = tenant.data.split->test;
     batch.clear();
     for (int i = 0; i < batch_size; ++i) {
       batch.push_back(test.example((b * batch_size + i) % test.size()));
     }
     const Clock::time_point t0 = Clock::now();
-    if (tenant.snapshot->PredictBatch(batch).size() != batch.size()) {
-      std::abort();
-    }
+    if (work(tenant, batch) != batch.size()) std::abort();
     ms.push_back(SecondsSince(t0) * 1000.0);
   }
   return ms;
-}
-
-SnapshotTiming TimeSnapshot(const Tenant& tenant, int batch_size) {
-  const activedp::Dataset& test = tenant.data.split->test;
-  std::vector<Example> batch;
-  for (int i = 0; i < batch_size; ++i) batch.push_back(test.example(i % test.size()));
-  std::vector<double> predict_ms, featurize_ms;
-  for (int rep = 0; rep < 201; ++rep) {
-    Clock::time_point t0 = Clock::now();
-    if (tenant.snapshot->PredictBatch(batch).size() != batch.size()) {
-      std::abort();
-    }
-    predict_ms.push_back(SecondsSince(t0) * 1000.0);
-    t0 = Clock::now();
-    size_t nnz = 0;
-    for (const Example& e : batch) nnz += tenant.data.context->featurizer->Transform(e).nnz();
-    featurize_ms.push_back(SecondsSince(t0) * 1000.0);
-    if (nnz == static_cast<size_t>(-1)) std::abort();  // keep the loop live
-  }
-  SnapshotTiming timing;
-  timing.predict_batch_ms = Median(predict_ms);
-  timing.featurize_ms = Median(featurize_ms);
-  timing.us_per_row = timing.predict_batch_ms * 1000.0 / batch_size;
-  return timing;
 }
 
 int RunServeWorkload(const Flags& flags, Report& report) {
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
   const double seconds = flags.Num("seconds");
   const bool trace = flags.Int("trace") != 0;
-  const int setup_reps = flags.Int("setup-reps");
-  const double low_rps = flags.Num("low-rps");
-  const double high_rps = flags.Num("high-rps");
-  const double cap_rps = flags.Num("max-rps-cap");
-  const double floor_rps = flags.Num("min-rps-floor");
-  PhaseLimits limits;
-  limits.latency_limit_ms = flags.Num("p99-limit-ms");
-  limits.max_generator_late_ms = flags.Num("max-generator-late-ms");
-  const double resolution = flags.Num("bisect-resolution");
-  const int probes = flags.Int("bisect-probes");
-  // Shares of the measurement budget for each fixed-rate phase and the
-  // closed-loop phase; the rest is split evenly over the bisection probes.
-  const double fixed_share = flags.Num("fixed-phase-share");
-  const double closed_share = flags.Num("closed-phase-share");
-  const int closed_in_flight = flags.Int("closed-in-flight");
-  const int service_batches = flags.Int("service-batches");
-  // The tenants' models are fixed per workload; --seed drives the traffic.
-  const uint64_t data_seed = static_cast<uint64_t>(flags.Int("dataset-seed"));
+  const PhaseLimits limits;  // p99 <= 5 ms, generator lateness p99 < 1 ms
 
-  // Set-up: train and export both tenants, repeated; the median is setup_s
-  // and every repetition must export snapshots that predict identically.
+  // Set-up: train and export both tenants. Training is slow, so it runs
+  // once per process; run.py's median over processes is setup_s, and the
+  // processes must agree on the snapshot digests.
   std::vector<Tenant> tenants(2);
-  tenants[0].kind = "text";
-  tenants[1].kind = "tabular";
-  std::vector<double> setup_s, generate_ms, featurize_ms;
-  uint64_t expected_digest[2] = {0, 0};
-  for (int rep = 0; rep < setup_reps; ++rep) {
-    for (Tenant& t : tenants) {
-      const std::string kind = t.kind;
-      t = Tenant{};
-      t.kind = kind;
-    }
-    const Clock::time_point t0 = Clock::now();
-    bool ok = TrainTenant(tenants[0], flags.Str("text-dataset"),
-                          flags.Num("text-scale"), flags.Int("text-steps"),
-                          data_seed) &&
-              TrainTenant(tenants[1], flags.Str("tabular-dataset"),
-                          flags.Num("tabular-scale"),
-                          flags.Int("tabular-steps"), data_seed);
-    setup_s.push_back(SecondsSince(t0));
-    report.Check(ok, "tenant training or export failed");
-    if (!ok) {
-      report.PrintJson();
-      return 1;
-    }
-    generate_ms.push_back(
-        (tenants[0].data.generate_s + tenants[1].data.generate_s) * 1000.0);
-    featurize_ms.push_back(
-        (tenants[0].data.featurize_s + tenants[1].data.featurize_s) * 1000.0);
-    for (int k = 0; k < 2; ++k) {
-      const uint64_t digest = ComputeExpected(tenants[k], report);
-      if (rep == 0) {
-        expected_digest[k] = digest;
-        report.Note("digest snapshot-" + tenants[k].kind + " " + Hex(digest));
-      }
-      report.Check(digest == expected_digest[k],
-                   "set-up repetition exported a different snapshot");
-    }
+  const Clock::time_point setup_start = Clock::now();
+  const bool trained = TrainTenant(tenants[0], kTenantSpecs[0]) &&
+                       TrainTenant(tenants[1], kTenantSpecs[1]);
+  const double setup_s = SecondsSince(setup_start);
+  report.Check(trained, "tenant training or export failed");
+  if (!trained) {
+    report.PrintJson();
+    return 1;
+  }
+  for (Tenant& tenant : tenants) {
+    report.Note("digest snapshot-" + tenant.kind + " " +
+                Hex(ComputeExpected(tenant, report)));
   }
 
   // Tenant ids that the router places on different shards.
@@ -1118,66 +1023,62 @@ int RunServeWorkload(const Flags& flags, Report& report) {
                 std::to_string(router.ShardFor(t.id)));
   }
 
-  int64_t attempted = 0, failed = 0, mismatches = 0, correct = 0, served = 0;
+  int64_t attempted = 0, failed = 0, mismatches = 0;
   uint64_t phase_seed = seed * 1000003ULL;
   auto run = [&](const std::string& name, double rate, double phase_s,
-                 bool spans, int in_flight = 0) {
+                 bool spans) {
     PhaseResult r = RunPhase(router, tenants, rate, phase_s, ++phase_seed,
-                             spans, in_flight);
+                             spans);
     attempted += r.outcome.sent;
     failed += r.outcome.failed;
     mismatches += r.mismatches;
     report.Note(PhaseSummary(name, rate, r, limits));
     return r;
   };
-  auto account = [&](const PhaseResult& r) {
-    correct += r.correct_labels;
-    served += r.outcome.succeeded;
-  };
-  const double fixed_s = std::max(0.2, fixed_share * seconds);
+  const double low_s = std::max(0.2, kLowShare * seconds);
+  const double high_s = std::max(0.2, kHighShare * seconds);
   // The program's footprint: set-up plus the loaded router, before the
   // benchmark's own per-request bookkeeping grows with the probed rates.
   const double peak_rss_mb = PeakRssMb();
 
   if (!trace) {
-    const PhaseResult low = run("low", low_rps, fixed_s, false);
-    const PhaseResult high = run("high", high_rps, fixed_s, false);
-    const PhaseResult closed =
-        run("closed", cap_rps, closed_share * seconds, false, closed_in_flight);
-    account(low);
-    account(high);
-    account(closed);
+    const PhaseResult low = run("low", kLowRps, low_s, false);
+    const PhaseResult high = run("high", kHighRps, high_s, false);
+    // Bisection probes above capacity are expected to fail; only the fixed
+    // rates count toward attempted/failed and the fail ratio, and none of
+    // their requests may fail.
+    const int64_t fixed_sent = low.outcome.sent + high.outcome.sent;
+    const int64_t fixed_failed = low.outcome.failed + high.outcome.failed;
+    report.Count(fixed_sent, fixed_failed);
+    report.Check(fixed_failed == 0,
+                 std::to_string(fixed_failed) +
+                     " requests failed or were refused at the fixed rates");
+    const int64_t served = low.outcome.succeeded + high.outcome.succeeded;
+    const double accuracy =
+        served > 0
+            ? static_cast<double>(low.correct_labels + high.correct_labels) /
+                  served
+            : 0.0;
     // Bisect above the highest fixed rate that was met (below the low rate,
     // down to the floor, when neither was; the floor itself is not probed).
-    const double probe_s =
-        std::max(0.2, (1.0 - 2.0 * fixed_share - closed_share) * seconds /
-                          probes);
+    const double probe_s = std::max(
+        0.2, (1.0 - kLowShare - kHighShare) * seconds / kBisectProbes);
     const bool high_met = PhaseMeetsLimit(high.outcome, limits);
     const bool low_met = PhaseMeetsLimit(low.outcome, limits);
     const double max_rps = BisectMaxRate(
-        high_met ? high_rps : (low_met ? low_rps : floor_rps),
-        high_met ? cap_rps : (low_met ? high_rps : low_rps), resolution,
-        probes, [&](double rate) {
+        high_met ? kHighRps : (low_met ? kLowRps : kMinRpsFloor),
+        high_met ? kMaxRpsCap : (low_met ? kHighRps : kLowRps),
+        kBisectResolution, kBisectProbes, [&](double rate) {
           const PhaseResult r = run("probe", rate, probe_s, false);
           return PhaseMeetsLimit(r.outcome, limits);
         });
-    // Bisection probes above capacity are expected to fail; only the fixed
-    // phases count toward attempted/failed and the fail ratio.
-    const int64_t fixed_sent =
-        low.outcome.sent + high.outcome.sent + closed.outcome.sent;
-    const int64_t fixed_failed =
-        low.outcome.failed + high.outcome.failed + closed.outcome.failed;
-    report.Count(fixed_sent, fixed_failed);
     report.Check(mismatches == 0,
                  std::to_string(mismatches) +
                      " served replies differ from ModelSnapshot::Predict");
-    const double accuracy =
-        served > 0 ? static_cast<double>(correct) / served : 0.0;
-    report.Line("setup_s", Median(setup_s), "s",
-                "median of " + std::to_string(setup_reps) + " set-ups");
+    report.Line("setup_s", setup_s, "s", "one set-up per process");
     report.Line("peak_rss_mb", peak_rss_mb, "MB", "through set-up");
     report.Line("fail_ratio", static_cast<double>(fixed_failed) / fixed_sent,
-                "ratio", "fixed-rate and closed-loop phases");
+                "ratio", "fixed-rate phases");
     const auto n_note = [&](const PhaseResult& r) {
       return "median of " + std::to_string(r.windows) + " windows, >= " +
              std::to_string(r.min_window_samples) + " requests and " +
@@ -1192,15 +1093,10 @@ int RunServeWorkload(const Flags& flags, Report& report) {
     report.Line("serve_max_rps", max_rps, "1/s",
                 "open-loop bisection, p99 <= " +
                     std::to_string(limits.latency_limit_ms) + " ms");
-    const std::string closed_note =
-        std::to_string(closed_in_flight) + " in flight, " + n_note(closed);
-    report.Line("serve_closed_rps", closed.rps, "1/s", closed_note);
-    report.Line("serve_closed_p50_ms", closed.p50_ms, "ms", closed_note);
-    report.Line("serve_closed_p99_ms", closed.p99_ms, "ms", closed_note);
     report.Line("served_accuracy", accuracy, "ratio");
     const int full_batch = config->service.max_batch_size;
-    const std::vector<double> service_ms =
-        FullBatchServiceMs(tenants, full_batch, service_batches);
+    const std::vector<double> service_ms = TimeBatchesMs(
+        {&tenants[0], &tenants[1]}, full_batch, kServiceBatches, PredictRows);
     const double service_p50 = Median(service_ms);
     const double service_p90 = Quantile(service_ms, 0.90);
     // Rows per second at the median service time (a mean would follow the
@@ -1217,10 +1113,9 @@ int RunServeWorkload(const Flags& flags, Report& report) {
     report.Note("served == snapshot: " + std::to_string(mismatches) +
                 " mismatches over " + std::to_string(attempted) + " requests");
     report.Check(TailResolved(low.min_window_samples, 99.0) &&
-                     TailResolved(high.min_window_samples, 99.0) &&
-                     TailResolved(closed.min_window_samples, 99.0),
+                     TailResolved(high.min_window_samples, 99.0),
                  "too few requests for a p99 with ten samples beyond it");
-    report.Metric("setup_s", Median(setup_s), "s");
+    report.Metric("setup_s", setup_s, "s");
     report.Metric("peak_rss_mb", peak_rss_mb, "MB");
     report.Metric("p50_ms", low.p50_ms, "ms");
     report.Metric("tail_ms", service_p90, "ms");
@@ -1232,17 +1127,20 @@ int RunServeWorkload(const Flags& flags, Report& report) {
 
   // Traced run: an untraced low phase for the overhead baseline, then low and
   // high with the tracer on and the driver's admission spans.
-  const PhaseResult plain_low = run("low", low_rps, fixed_s, false);
+  const PhaseResult plain_low = run("low", kLowRps, low_s, false);
   MetricsSnapshot m0 = MetricsRegistry::Global().Snapshot();
   Tracer::Global().Enable();
-  const PhaseResult low = run("low", low_rps, fixed_s, true);
+  const PhaseResult low = run("low", kLowRps, low_s, true);
   MetricsSnapshot m1 = MetricsRegistry::Global().Snapshot();
-  const PhaseResult high = run("high", high_rps, fixed_s, true);
+  const PhaseResult high = run("high", kHighRps, high_s, true);
   SpanStats spans;
   spans.Add(Tracer::Global().Collect());
   Tracer::Global().Disable();
   const MetricsSnapshot m2 = MetricsRegistry::Global().Snapshot();
   report.Count(attempted, failed);
+  report.Check(failed == 0, std::to_string(failed) +
+                                " requests failed or were refused at the "
+                                "fixed rates");
   report.Check(mismatches == 0,
                std::to_string(mismatches) +
                    " served replies differ from ModelSnapshot::Predict");
@@ -1251,47 +1149,73 @@ int RunServeWorkload(const Flags& flags, Report& report) {
   const HistogramDelta size_high = DeltaOf(m1, m2, "serve.batch_size");
   const HistogramDelta batch_low = DeltaOf(m0, m1, "serve.batch_latency_ms");
   const HistogramDelta batch_high = DeltaOf(m1, m2, "serve.batch_latency_ms");
-  std::map<std::string, double> v;
   const int64_t admits = spans.count("bench.admit");
-  v["serve.admit_us"] =
-      admits > 0 ? spans.total_ms("bench.admit") * 1000.0 / admits : 0.0;
-  v["serve.batch_size.mean.low"] = size_low.mean();
-  v["serve.batch_size.mean.high"] = size_high.mean();
+  report.Layer("serve.admit_us",
+               admits > 0 ? spans.total_ms("bench.admit") * 1000.0 / admits
+                          : 0.0,
+               "us");
+  report.Layer("serve.batch_size.mean.low", size_low.mean(), "count");
+  report.Layer("serve.batch_size.mean.high", size_high.mean(), "count");
   // Derived, not measured per request: client latency minus batch compute.
-  v["serve.queue_wait_ms.p50.low"] = low.p50_ms - batch_low.Quantile(0.5);
-  v["serve.queue_wait_ms.p50.high"] = high.p50_ms - batch_high.Quantile(0.5);
-  v["serve.batch_ms.p99.high"] = batch_high.Quantile(0.99);
+  report.Layer("serve.queue_wait_ms.p50.low",
+               low.p50_ms - batch_low.Quantile(0.5), "ms");
+  report.Layer("serve.queue_wait_ms.p50.high",
+               high.p50_ms - batch_high.Quantile(0.5), "ms");
+  report.Layer("serve.batch_ms.p99.high", batch_high.Quantile(0.99), "ms");
+  // PredictBatch and the featurizer at the mean high-rate batch size, off
+  // the load path: median of 201 batches per tenant.
   const int mean_batch =
       std::max(1, static_cast<int>(std::lround(size_high.mean())));
-  const SnapshotTiming text = TimeSnapshot(tenants[0], mean_batch);
-  const SnapshotTiming tabular = TimeSnapshot(tenants[1], mean_batch);
-  v["serve.featurize_ms"] = (text.featurize_ms + tabular.featurize_ms) / 2.0;
-  v["serve.predict_batch_ms"] =
-      (text.predict_batch_ms + tabular.predict_batch_ms) / 2.0;
-  v["serve.snapshot.predict_us_per_row.text"] = text.us_per_row;
-  v["serve.snapshot.predict_us_per_row.tabular"] = tabular.us_per_row;
-  v["serve.dispatcher_busy_ratio"] =
-      batch_high.sum / (high.wall_ms * shards);
-  v["serve.shed"] = static_cast<double>(m2.counter_value("serve.shed") -
-                                        m0.counter_value("serve.shed"));
-  v["serve.rejected"] = static_cast<double>(
-      m2.counter_value("serve.rejected") - m0.counter_value("serve.rejected"));
-  v["serve.router.shed"] =
-      static_cast<double>(CounterFamily(m2, "serve.router.shed") -
-                          CounterFamily(m0, "serve.router.shed"));
-  v["serve.generator_late_ms.p99"] =
-      std::max(low.outcome.generator_late_p99_ms,
-               high.outcome.generator_late_p99_ms);
-  v["data.generate_ms"] = Median(generate_ms);
-  v["ml.featurize_ms"] = Median(featurize_ms);
-  v["trace.overhead_ms"] = low.p50_ms - plain_low.p50_ms;
-  v["trace.overhead_pct"] = 100.0 * (low.p50_ms - plain_low.p50_ms) /
-                            plain_low.p50_ms;
+  const auto median_ms = [&](const Tenant& tenant, const BatchWork& work) {
+    return Median(TimeBatchesMs({&tenant}, mean_batch, 201, work));
+  };
+  const double text_predict_ms = median_ms(tenants[0], PredictRows);
+  const double tabular_predict_ms = median_ms(tenants[1], PredictRows);
+  report.Layer("serve.featurize_ms",
+               (median_ms(tenants[0], FeaturizeRows) +
+                median_ms(tenants[1], FeaturizeRows)) /
+                   2.0,
+               "ms");
+  report.Layer("serve.predict_batch_ms",
+               (text_predict_ms + tabular_predict_ms) / 2.0, "ms");
+  report.Layer("serve.snapshot.predict_us_per_row.text",
+               text_predict_ms * 1000.0 / mean_batch, "us");
+  report.Layer("serve.snapshot.predict_us_per_row.tabular",
+               tabular_predict_ms * 1000.0 / mean_batch, "us");
+  report.Layer("serve.dispatcher_busy_ratio",
+               batch_high.sum / (high.wall_ms * shards), "ratio");
+  report.Layer("serve.shed",
+               static_cast<double>(m2.counter_value("serve.shed") -
+                                   m0.counter_value("serve.shed")),
+               "count");
+  report.Layer("serve.rejected",
+               static_cast<double>(m2.counter_value("serve.rejected") -
+                                   m0.counter_value("serve.rejected")),
+               "count");
+  report.Layer("serve.router.shed",
+               static_cast<double>(CounterFamily(m2, "serve.router.shed") -
+                                   CounterFamily(m0, "serve.router.shed")),
+               "count");
+  report.Layer("serve.generator_late_ms.p99",
+               std::max(low.outcome.generator_late_p99_ms,
+                        high.outcome.generator_late_p99_ms),
+               "ms");
+  report.Layer("data.generate_ms",
+               (tenants[0].data.generate_s + tenants[1].data.generate_s) *
+                   1000.0,
+               "ms");
+  report.Layer("ml.featurize_ms",
+               (tenants[0].data.featurize_s + tenants[1].data.featurize_s) *
+                   1000.0,
+               "ms");
+  report.Layer("trace.overhead_ms", low.p50_ms - plain_low.p50_ms, "ms");
+  report.Layer("trace.overhead_pct",
+               100.0 * (low.p50_ms - plain_low.p50_ms) / plain_low.p50_ms,
+               "%");
   report.Note("tracing overhead: traced serve_p50_ms.low " +
               std::to_string(low.p50_ms) + " vs untraced " +
               std::to_string(plain_low.p50_ms) +
               "; queue_wait is derived (latency - batch compute)");
-  EmitPerLayer(report, v);
   return 0;
 }
 
@@ -1301,16 +1225,11 @@ int RunServeWorkload(const Flags& flags, Report& report) {
 int main(int argc, char** argv) {
   const perfbench::Flags flags(argc, argv);
   perfbench::Report report;
-  const std::string kind = flags.Str("kind");
-  int rc = 0;
-  if (kind == "step") {
-    rc = perfbench::RunStepWorkload(flags, report);
-  } else if (kind == "serve") {
-    rc = perfbench::RunServeWorkload(flags, report);
-  } else {
-    std::fprintf(stderr, "unknown workload kind %s\n", kind.c_str());
-    return 2;
-  }
+  // serve-mix is the one serving workload; the others are step workloads
+  // and take their differing parameters as flags.
+  const int rc = flags.Str("workload") == "serve-mix"
+                     ? perfbench::RunServeWorkload(flags, report)
+                     : perfbench::RunStepWorkload(flags, report);
   if (rc != 0) return rc;
   report.PrintJson();
   return report.correct() ? 0 : 1;

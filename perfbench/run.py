@@ -16,6 +16,12 @@ processes is what makes run-to-run spread small. Processes must agree on
 every digest they both print: same seed, same training labels and
 snapshots.
 
+BENCHMARK.json is the one list of metric names: the result carries exactly
+its end_to_end metrics (--trace 0) or per_layer metrics (--trace 1), in its
+order and units, and spec.json's layer map names exactly its per_layer
+metrics. A per-layer metric of a layer the workload does not run reads 0;
+any other difference is an error.
+
 The driver's "#" report lines are passed through; the last stdout line is
 the result JSON. Build output goes to stderr.
 """
@@ -90,6 +96,41 @@ def aggregate(results, digests):
     }
 
 
+def load_lists(spec):
+    """Returns BENCHMARK.json's {"end_to_end"|"per_layer": [(name, unit)]},
+    after checking that the spec's layer map names the per_layer metrics."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    lists = {key: [(m["name"], m["unit"]) for m in bench[key]]
+             for key in ("end_to_end", "per_layer")}
+    mapped = [entry["metric"] for entry in spec["layer_map"]]
+    listed = [name for name, _ in lists["per_layer"]]
+    if sorted(mapped) != sorted(listed):
+        sys.exit("perfbench: spec.json layer_map and BENCHMARK.json per_layer "
+                 "differ: %s" % sorted(set(mapped) ^ set(listed)))
+    return lists
+
+
+def conform(metrics, expected, fill_missing):
+    """The metrics in BENCHMARK.json's order; exits on a name or unit that
+    does not match. Missing names read 0 when `fill_missing`."""
+    extra = sorted(set(metrics) - {name for name, _ in expected})
+    if extra:
+        sys.exit("perfbench: metrics not in BENCHMARK.json: %s" % extra)
+    out = {}
+    for name, unit in expected:
+        if name not in metrics:
+            if not fill_missing:
+                sys.exit("perfbench: the driver did not report %s" % name)
+            out[name] = {"value": 0.0, "unit": unit}
+        elif metrics[name]["unit"] != unit:
+            sys.exit("perfbench: %s is in %s, BENCHMARK.json says %s"
+                     % (name, metrics[name]["unit"], unit))
+        else:
+            out[name] = metrics[name]
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
@@ -100,12 +141,14 @@ def main():
                         help="build and run the benchmark's arithmetic tests")
     args = parser.parse_args()
 
+    with open(os.path.join(HERE, "spec.json")) as f:
+        spec = json.load(f)
+    lists = load_lists(spec)
     if args.selftest:
         build_dir = build(["adp_perfbench_test"])
         return subprocess.run([os.path.join(build_dir, "adp_perfbench_test")]).returncode
 
-    with open(os.path.join(HERE, "spec.json")) as f:
-        workloads = json.load(f)["workloads"]
+    workloads = spec["workloads"]
     if args.workload not in workloads:
         sys.exit("perfbench: unknown workload %r (have %s)"
                  % (args.workload, ", ".join(sorted(workloads))))
@@ -122,6 +165,9 @@ def main():
         results.append(result)
         digests.append(digest)
     result = aggregate(results, digests)
+    result["metrics"] = conform(
+        result["metrics"], lists["per_layer" if args.trace else "end_to_end"],
+        fill_missing=bool(args.trace))
     print(json.dumps(result), flush=True)
     return 0 if result["correct"] else 1
 
