@@ -3,8 +3,9 @@
 
 // The benchmark's own arithmetic, kept free of library dependencies so
 // bench_stats_test.cc can check it in isolation: percentiles and the
-// "at least ten samples beyond" rule, self time from a span tree, the
-// open-loop phase verdict, and the rate bisection.
+// "at least ten samples beyond" rule, the best of repeated timings, self
+// time from a span tree, the open-loop phase verdict, and the rate
+// bisection.
 
 #include <algorithm>
 #include <cmath>
@@ -34,6 +35,22 @@ inline double Quantile(std::vector<double> values, double q) {
 
 inline double Median(std::vector<double> values) {
   return Quantile(std::move(values), 0.5);
+}
+
+/// Per-position minimum over repeats of the same work: element i is the
+/// fastest of the repeats' i-th timings. Repeats spread over a run rarely all
+/// meet one of the shared machine's slow spells, so this keeps the cost of
+/// the work and drops most of the spells. Positions past the shortest repeat
+/// are dropped; no repeats give an empty result.
+inline std::vector<double> BestOf(const std::vector<std::vector<double>>& repeats) {
+  if (repeats.empty()) return {};
+  size_t n = repeats.front().size();
+  for (const auto& r : repeats) n = std::min(n, r.size());
+  std::vector<double> best(repeats.front().begin(), repeats.front().begin() + n);
+  for (const auto& r : repeats) {
+    for (size_t i = 0; i < n; ++i) best[i] = std::min(best[i], r[i]);
+  }
+  return best;
 }
 
 /// Samples strictly above the p-th percentile (p in percent) of n samples:

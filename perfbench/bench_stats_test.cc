@@ -31,6 +31,19 @@ void TestQuantile() {
   EXPECT(Near(Quantile({10.0, 20.0}, 0.95), 19.5));
 }
 
+void TestBestOf() {
+  EXPECT(BestOf({}).empty());
+  const std::vector<double> one = BestOf({{3.0, 1.0}});
+  EXPECT(one.size() == 2 && Near(one[0], 3.0) && Near(one[1], 1.0));
+  // Each position takes its own fastest repeat.
+  const std::vector<double> best =
+      BestOf({{5.0, 2.0, 9.0}, {4.0, 3.0, 9.5}, {6.0, 2.5, 8.0}});
+  EXPECT(best.size() == 3);
+  EXPECT(Near(best[0], 4.0) && Near(best[1], 2.0) && Near(best[2], 8.0));
+  // A shorter repeat cuts the result to its length.
+  EXPECT(BestOf({{1.0, 2.0, 3.0}, {0.5, 4.0}}).size() == 2);
+}
+
 void TestTailRule() {
   // p95 needs 200 samples: 200 - ceil(190) = 10 beyond; 199 leaves 9.
   EXPECT(SamplesBeyond(200, 95.0) == 10);
@@ -150,6 +163,7 @@ void TestBisection() {
 
 int main() {
   perfbench::TestQuantile();
+  perfbench::TestBestOf();
   perfbench::TestTailRule();
   perfbench::TestCoveredLength();
   perfbench::TestSelfTimes();

@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
 """Builds and runs the ActiveDP benchmark.
 
-    python3 perfbench/run.py --workload step-text --seed 1 --seconds 27 --trace 0
+    python3 perfbench/run.py --workload step-text --seed 1 --seconds 45 --trace 0
     python3 perfbench/run.py --selftest
 
 Run from the repository root. The driver (perfbench/driver.cc) and the
 activedp library (src/) are built with CMake into $CARGO_TARGET_DIR (default
 .bench_build)/perfbench. Workload parameters come from perfbench/spec.json.
 
-One run splits its --seconds over PROCESSES driver processes with the same
-seed and reports, per metric, the median over the processes. On a shared
-virtual machine the speed of a whole process varies by tens of percent
-(sessions inside one process agree within a few percent), so the median over
-processes is what makes run-to-run spread small. Processes must agree on
-every digest they both print: same seed, same training labels and
-snapshots.
+One run is one driver process. It repeats every timed unit of work far apart
+in time and keeps the best of the repeats, and it checks that repeats with
+the same seed produce the same digests (see driver.cc).
 
 BENCHMARK.json is the one list of metric names: the result carries exactly
 its end_to_end metrics (--trace 0) or per_layer metrics (--trace 1), in its
@@ -30,13 +26,11 @@ import argparse
 import json
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-PROCESSES = 3
 
 
 def build(targets):
@@ -56,44 +50,17 @@ def build(targets):
 
 
 def run_driver(cmd):
-    """Runs one driver process; returns (result JSON, {digest name: value})."""
+    """Runs the driver; returns its result JSON after passing its report on."""
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     for line in lines[:-1]:
         print(line)
-    if proc.returncode != 0 or not lines:
+    if proc.returncode not in (0, 1) or not lines or not lines[-1].startswith("{"):
         sys.stderr.write("perfbench: driver exited %d\n" % proc.returncode)
         if lines:
             sys.stderr.write(lines[-1] + "\n")
         sys.exit(proc.returncode or 1)
-    digests = {}
-    for line in lines:
-        if line.startswith("# digest "):
-            name, value = line.split()[2:4]
-            digests[name] = value
-    return json.loads(lines[-1]), digests
-
-
-def aggregate(results, digests):
-    metrics = {}
-    for name, first in results[0]["metrics"].items():
-        values = [r["metrics"][name]["value"] for r in results]
-        metrics[name] = {"value": statistics.median(values), "unit": first["unit"]}
-    # A digest name reported by several processes names the same work (same
-    # seed): every process must report the same value for it.
-    seen = {}
-    for d in digests:
-        for name, value in d.items():
-            seen.setdefault(name, set()).add(value)
-    agree = all(len(values) == 1 for values in seen.values())
-    if not agree:
-        sys.stderr.write("perfbench: same-seed processes disagree: %s\n" % seen)
-    return {
-        "correct": agree and all(r["correct"] for r in results),
-        "attempted": sum(r["attempted"] for r in results),
-        "failed": sum(r["failed"] for r in results),
-        "metrics": metrics,
-    }
+    return json.loads(lines[-1])
 
 
 def load_lists(spec):
@@ -135,7 +102,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=27)
+    parser.add_argument("--seconds", type=float, default=45)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true",
                         help="build and run the benchmark's arithmetic tests")
@@ -155,16 +122,10 @@ def main():
     build_dir = build(["adp_perfbench"])
     cmd = [os.path.join(build_dir, "adp_perfbench"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds / PROCESSES), "--trace", str(args.trace)]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     for key, value in workloads[args.workload]["params"].items():
         cmd += ["--" + key, str(value)]
-    results, digests = [], []
-    for index in range(PROCESSES):
-        print("# process %d of %d" % (index + 1, PROCESSES))
-        result, digest = run_driver(cmd + ["--process", str(index)])
-        results.append(result)
-        digests.append(digest)
-    result = aggregate(results, digests)
+    result = run_driver(cmd)
     result["metrics"] = conform(
         result["metrics"], lists["per_layer" if args.trace else "end_to_end"],
         fill_missing=bool(args.trace))
