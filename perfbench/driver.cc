@@ -118,7 +118,6 @@ constexpr int kBisectProbes = 7;
 /// middle and end of the run), the high rate once, and the rest is split
 /// evenly over the bisection probes.
 constexpr double kLowShare = 0.5;
-constexpr int kLowSegments = 3;
 constexpr double kHighShare = 0.2;
 /// Full batches timed off the load path after every phase, for the guarded
 /// serve compute metrics; a batch's service time is the best of its passes.
@@ -266,7 +265,6 @@ class SpanStats {
       ++stage.count;
       stage.total_us += nodes[i].dur_us;
       stage.self_us += self[i];
-      stage.durations_us.push_back(nodes[i].dur_us);
       // Inclusive time per (stage, ancestor) pair, for stages that run under
       // several callers (metal.fit under label_pick vs label_model.fit).
       for (int64_t p = nodes[i].parent; p >= 0;) {
@@ -305,20 +303,12 @@ class SpanStats {
     const auto it = args_.find(stage + "." + key);
     return it == args_.end() ? 0 : it->second;
   }
-  std::vector<double> durations_ms(const std::string& stage) const {
-    std::vector<double> out;
-    const auto it = stages_.find(stage);
-    if (it == stages_.end()) return out;
-    for (int64_t d : it->second.durations_us) out.push_back(d / 1000.0);
-    return out;
-  }
 
  private:
   struct Stage {
     int64_t count = 0;
     int64_t total_us = 0;
     int64_t self_us = 0;
-    std::vector<int64_t> durations_us;
   };
   std::map<std::string, Stage> stages_;
   std::map<std::string, int64_t> under_us_;
@@ -817,7 +807,6 @@ struct PhaseState {
 struct PhaseResult {
   PhaseOutcome outcome;
   double p50_ms = 0.0;
-  double p90_ms = 0.0;
   double p99_ms = 0.0;
   int64_t mismatches = 0;
   int64_t correct_labels = 0;
@@ -944,7 +933,6 @@ PhaseResult RunPhase(activedp::ShardRouter& router, std::vector<Tenant>& tenants
   r.window_p99_ms = p99s;
   r.windows = windows;
   r.p50_ms = Median(p50s);
-  r.p90_ms = Median(p90s);
   r.p99_ms = Median(p99s);
   o.latency_p99_ms = r.p99_ms;
   o.generator_late_p99_ms = Median(late_p99s);
@@ -1137,7 +1125,8 @@ int RunServeWorkload(const Flags& flags, Report& report) {
     report.Note(PhaseSummary(name, rate, r, limits));
     return r;
   };
-  const double low_s = std::max(0.2, kLowShare * seconds / kLowSegments);
+  // One of the three low-rate segments.
+  const double low_s = std::max(0.2, kLowShare * seconds / 3);
   const double high_s = std::max(0.2, kHighShare * seconds);
 
   if (!trace) {
@@ -1165,16 +1154,14 @@ int RunServeWorkload(const Flags& flags, Report& report) {
         0.2, (1.0 - kLowShare - kHighShare) * seconds / kBisectProbes);
     const bool high_met = PhaseMeetsLimit(high.outcome, limits);
     const bool low_met = PhaseMeetsLimit(lows[0].outcome, limits) &&
-                   PhaseMeetsLimit(lows[1].outcome, limits);
+                         PhaseMeetsLimit(lows[1].outcome, limits);
     const double max_rps = BisectMaxRate(
         high_met ? kHighRps : (low_met ? kLowRps : kMinRpsFloor),
         high_met ? kMaxRpsCap : (low_met ? kHighRps : kLowRps),
         kBisectResolution, kBisectProbes, [&](double rate) {
           return PhaseMeetsLimit(phase("probe", rate, probe_s).outcome, limits);
         });
-    while (static_cast<int>(lows.size()) < kLowSegments) {
-      lows.push_back(phase("low", kLowRps, low_s));
-    }
+    lows.push_back(phase("low", kLowRps, low_s));
 
     int64_t fixed_sent = high.outcome.sent, fixed_failed = high.outcome.failed;
     int64_t served = high.outcome.succeeded, correct = high.correct_labels;
