@@ -217,8 +217,8 @@ int Main(int argc, char** argv) {
       while (!stop.load(std::memory_order_relaxed)) {
         const Example& example =
             fixture->trace[i++ % fixture->trace.size()];
-        const Result<ServedPrediction> served = PredictWithRetry(
-            service, example, Deadline::Infinite(), client_policy);
+        const ServeReply served =
+            PredictWithRetry(service, {.example = example}, client_policy);
         client_requests.fetch_add(1, std::memory_order_relaxed);
         if (!served.ok()) {
           client_failures.fetch_add(1, std::memory_order_relaxed);
@@ -346,10 +346,11 @@ int Main(int argc, char** argv) {
       ++failures;
     } else {
       for (const Example& example : fixture->trace) {
-        const Result<ServedPrediction> served = service.Predict(example);
+        const ServeReply served = service.Predict({.example = example});
         const Result<ServedPrediction> expected = offline->Predict(example);
         if (!served.ok() || !expected.ok() ||
-            PredictionDigest(*served) != PredictionDigest(*expected)) {
+            PredictionDigest(served.prediction) !=
+                PredictionDigest(*expected)) {
           ++digest_mismatches;
         }
       }

@@ -177,8 +177,8 @@ LoadResult RunClosedLoop(PredictionService& service, const Dataset& train,
       for (int k = 0; k < share; ++k) {
         const int row = (c + k * clients) % train.size();
         Timer timer;
-        const Result<ServedPrediction> served =
-            service.Predict(train.example(row));
+        const ServeReply served =
+            service.Predict({.example = train.example(row)});
         const double elapsed_ms = timer.ElapsedMillis();
         histogram.Observe(elapsed_ms);
         latencies[c].push_back(elapsed_ms);
@@ -210,7 +210,7 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
   using Clock = std::chrono::steady_clock;
   LoadResult result;
   result.requests = requests;
-  std::vector<std::future<Result<ServedPrediction>>> futures(requests);
+  std::vector<std::future<ServeReply>> futures(requests);
   std::vector<Clock::time_point> sent(requests);
   std::vector<double> latencies(requests, 0.0);
   std::atomic<int> issued{0};
@@ -227,7 +227,7 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
       while (issued.load(std::memory_order_acquire) <= i) {
         std::this_thread::yield();
       }
-      const Result<ServedPrediction> served = futures[i].get();
+      const ServeReply served = futures[i].get();
       latencies[i] = std::chrono::duration<double, std::milli>(Clock::now() -
                                                               sent[i])
                          .count();
@@ -238,7 +238,8 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
   for (int i = 0; i < requests; ++i) {
     std::this_thread::sleep_until(start + i * interval);
     sent[i] = Clock::now();
-    futures[i] = service.PredictAsync(train.example(i % train.size()));
+    futures[i] =
+        service.PredictAsync({.example = train.example(i % train.size())});
     issued.store(i + 1, std::memory_order_release);
     if (slo != nullptr) slo->MaybeTick(0.25);
   }
@@ -261,20 +262,20 @@ uint64_t ServedDigest(const std::shared_ptr<const ModelSnapshot>& snapshot,
   options.max_queue_depth = n + 1;
   PredictionService service(options);
   service.LoadSnapshot(snapshot);
-  std::vector<std::future<Result<ServedPrediction>>> futures;
+  std::vector<std::future<ServeReply>> futures;
   futures.reserve(n);
   for (int i = 0; i < n; ++i) {
-    futures.push_back(service.PredictAsync(train.example(i)));
+    futures.push_back(service.PredictAsync({.example = train.example(i)}));
   }
   BitHasher hasher;
   for (int i = 0; i < n; ++i) {
-    const Result<ServedPrediction> served = futures[i].get();
+    const ServeReply served = futures[i].get();
     if (!served.ok()) {
       LOG(Error) << "serve failed at row " << i << ": "
-                 << served.status().ToString();
+                 << served.status.ToString();
       return 0;
     }
-    hasher.Add(*served);
+    hasher.Add(served.prediction);
   }
   return hasher.digest();
 }
@@ -299,18 +300,19 @@ int RunHotSwapGate(const std::shared_ptr<const ModelSnapshot>& a,
     workers.emplace_back([&, c] {
       for (int k = 0; k < per_client; ++k) {
         const int row = (c * per_client + k) % train.size();
-        const Result<ServedPrediction> served =
-            service.Predict(train.example(row));
+        const ServeReply served =
+            service.Predict({.example = train.example(row)});
         if (!served.ok()) {
           mismatches.fetch_add(1);
           continue;
         }
+        const ServedPrediction& got = served.prediction;
         const Result<ServedPrediction> via_a = a->Predict(train.example(row));
         const Result<ServedPrediction> via_b = b->Predict(train.example(row));
-        const bool matches_a = via_a.ok() && served->proba == via_a->proba &&
-                               served->label == via_a->label;
-        const bool matches_b = via_b.ok() && served->proba == via_b->proba &&
-                               served->label == via_b->label;
+        const bool matches_a = via_a.ok() && got.proba == via_a->proba &&
+                               got.label == via_a->label;
+        const bool matches_b = via_b.ok() && got.proba == via_b->proba &&
+                               got.label == via_b->label;
         if (!matches_a && !matches_b) mismatches.fetch_add(1);
       }
     });
@@ -864,11 +866,9 @@ int RunMultiTenantStorm(FlagParser& flags) {
          std::to_string(rollback_instants));
   }
   // The forced rollback is the storm's only incident: one verified dump.
-  const std::vector<std::string> dumps = ListIncidentDumps(incident_root);
-  if (dumps.size() != 1) {
-    fail("expected exactly 1 incident dump (rollout.rollback), found " +
-         std::to_string(dumps.size()));
-  }
+  const IncidentCheck incidents = CheckIncidentDumps(
+      incident_root, IncidentPolicy::kExactlyOne, "rollout.rollback");
+  for (const std::string& failure : incidents.failures) fail(failure);
 
   // -- Report ---------------------------------------------------------------
   std::ofstream out(flags.GetString("out"), std::ios::trunc);
@@ -890,7 +890,7 @@ int RunMultiTenantStorm(FlagParser& flags) {
       << "\", \"rolled_back_tenant\": \"" << cast[kRollback].id
       << "\", \"promote_instants\": " << promote_instants
       << ", \"rollback_instants\": " << rollback_instants << "},\n";
-  out << "  \"incidents\": " << dumps.size() << ",\n";
+  out << "  \"incidents\": " << incidents.dumps << ",\n";
   out << "  \"noisy_tenant\": \"" << cast[kNoisy].id << "\",\n";
   out << "  \"per_tenant\": [\n";
   for (int t = 0; t < num_tenants; ++t) {
@@ -927,9 +927,9 @@ int RunMultiTenantStorm(FlagParser& flags) {
 
   SetComputePoolThreads(1);
   std::printf("wrote %s (%d tenants / %d shards, %zu requests, "
-              "thread_independent: %s, incidents: %zu, passed: %s)\n",
+              "thread_independent: %s, incidents: %d, passed: %s)\n",
               flags.GetString("out").c_str(), num_tenants, num_shards,
-              slots.size(), thread_independent ? "yes" : "no", dumps.size(),
+              slots.size(), thread_independent ? "yes" : "no", incidents.dumps,
               passed ? "yes" : "no");
   return passed ? 0 : 1;
 }
@@ -1124,11 +1124,10 @@ int Main(int argc, char** argv) {
 
   // Clean-run incident gate: no breaker trip, shed burst, or deadline storm
   // should have fired, so the dump root must be empty.
-  const std::vector<std::string> dumps = ListIncidentDumps(incident_root);
-  if (!dumps.empty()) {
-    std::fprintf(stderr,
-                 "FAIL: clean run produced %zu incident dump(s), first: %s\n",
-                 dumps.size(), dumps.front().c_str());
+  const IncidentCheck incidents =
+      CheckIncidentDumps(incident_root, IncidentPolicy::kNone);
+  for (const std::string& failure : incidents.failures) {
+    std::fprintf(stderr, "FAIL: clean run: %s\n", failure.c_str());
     deterministic = false;
   }
 
@@ -1156,13 +1155,12 @@ int Main(int argc, char** argv) {
 
   WriteJson(flags.GetString("out"), *snapshot_a, train, deterministic,
             configs_checked, hot_swap_requests, hot_swap_mismatches, closed,
-            clients, open, rate, health, static_cast<int>(dumps.size()),
-            slos_met);
+            clients, open, rate, health, incidents.dumps, slos_met);
   std::printf("wrote %s (closed %0.0f rps, open %0.0f rps, deterministic: "
-              "%s, incidents: %zu, slos_met: %s)\n",
+              "%s, incidents: %d, slos_met: %s)\n",
               flags.GetString("out").c_str(), closed.throughput_rps,
-              open.throughput_rps, deterministic ? "yes" : "no", dumps.size(),
-              slos_met ? "yes" : "no");
+              open.throughput_rps, deterministic ? "yes" : "no",
+              incidents.dumps, slos_met ? "yes" : "no");
   if (closed.failures + open.failures > 0) {
     std::fprintf(stderr, "FAIL: %d load-phase requests failed\n",
                  closed.failures + open.failures);

@@ -85,28 +85,29 @@ int main() {
                  request.status().ToString().c_str());
     return 1;
   }
-  Result<ServedPrediction> response = service.Predict(*request);
+  const ServeReply response = service.Predict({.example = *request});
   if (!response.ok()) {
-    std::fprintf(stderr, "predict: %s\n",
-                 response.status().ToString().c_str());
+    std::fprintf(stderr, "predict: %s\n", response.status.ToString().c_str());
     return 1;
   }
-  if (response->label == kAbstain) {
+  const ServedPrediction& served = response.prediction;
+  if (served.label == kAbstain) {
     std::printf("served: abstain (ConFusion confidence below tau)\n");
   } else {
-    std::printf("served: label=%d source=%d proba=[", response->label,
-                static_cast<int>(response->source));
-    for (size_t c = 0; c < response->proba.size(); ++c) {
-      std::printf("%s%.3f", c ? ", " : "", response->proba[c]);
+    std::printf("served: label=%d source=%d proba=[", served.label,
+                static_cast<int>(served.source));
+    for (size_t c = 0; c < served.proba.size(); ++c) {
+      std::printf("%s%.3f", c ? ", " : "", served.proba[c]);
     }
     std::printf("]\n");
   }
 
   // A burst of async requests forms micro-batches.
-  std::vector<std::future<Result<ServedPrediction>>> futures;
+  std::vector<std::future<ServeReply>> futures;
   const int burst = std::min(split->train.size(), 64);
   for (int i = 0; i < burst; ++i) {
-    futures.push_back(service.PredictAsync(split->train.example(i)));
+    futures.push_back(
+        service.PredictAsync({.example = split->train.example(i)}));
   }
   int ok = 0;
   for (auto& future : futures) ok += future.get().ok() ? 1 : 0;
@@ -122,12 +123,13 @@ int main() {
   if (updated.ok()) {
     service.LoadSnapshot(
         std::make_shared<const ModelSnapshot>(std::move(*updated)));
-    Result<ServedPrediction> after = service.Predict(*request);
+    const ServeReply after = service.Predict({.example = *request});
     if (after.ok()) {
       std::printf("after hot swap: %s (no restart, no dropped requests)\n",
-                  after->label == kAbstain
+                  after.prediction.label == kAbstain
                       ? "abstain"
-                      : ("label=" + std::to_string(after->label)).c_str());
+                      : ("label=" + std::to_string(after.prediction.label))
+                            .c_str());
     }
   }
   std::remove(path.c_str());

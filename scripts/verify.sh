@@ -25,28 +25,31 @@
 #      determinism gate asserts served == offline bitwise across batch
 #      sizes, thread counts and a mid-load hot swap; BENCH_serving.json is
 #      archived to bench-archive/)
-#   8. a small-budget chaos sweep (fault sites x kinds x seeds, with
-#      fault accounting and resumability checks; see bench/chaos_sweep.cc)
-#   9. the serving chaos gate (bench/serve_chaos: the full serve.* fault
-#      matrix — every injected fault cleanly rejected or auto-recovered,
-#      zero served-digest divergence on the surviving path, the rollback
-#      visible in the RunTrace timeline; BENCH_serve_chaos.json is archived
-#      to bench-archive/)
-#  10. the continuous-learning gate (bench/learn_chaos: the LearnGuard
-#      fault matrix — every injected fault ends in a clean rejection,
-#      quarantine or auto-rollback, and the loop keeps publishing once the
-#      fault clears; then bench/continuous_bench: live traffic + drifting
+#   8. the pipeline chaos matrix (bench/chaos_matrix --matrix=pipeline:
+#      fault sites x kinds x seeds through the offline pipeline, with fault
+#      accounting and resumability checks; BENCH_chaos_pipeline.json is
+#      archived to bench-archive/)
+#   9. the serving chaos gate (bench/chaos_matrix --matrix=serve: the full
+#      serve.* fault matrix — every injected fault cleanly rejected or
+#      auto-recovered, zero served-digest divergence on the surviving path,
+#      the rollback visible in the RunTrace timeline; BENCH_serve_chaos.json
+#      is archived to bench-archive/)
+#  10. the continuous-learning gate (bench/chaos_matrix --matrix=learn: the
+#      LearnGuard fault matrix — every injected fault ends in a clean
+#      rejection, quarantine or auto-rollback, and the loop keeps publishing
+#      once the fault clears; then bench/continuous_bench: live traffic + drifting
 #      feedback with >= 3 published retrains, each strictly improving
 #      holdout accuracy, zero failed client requests and zero served-digest
 #      divergence; BENCH_learn_chaos.json and BENCH_online.json are
 #      archived to bench-archive/)
 #  11. the OpsPlane gate (ctest -L obs: flight-recorder ring/dump/verify and
-#      SLO burn-rate engine tests; then the serve/learn chaos matrices,
-#      whose per-scenario incident assertions require exactly one verified,
-#      checksummed dump per breaker-trip/rollback/quarantine trigger and
-#      zero dumps everywhere else; then a clean serve_bench run that must
-#      produce zero dumps with every SLO met — its SLO status JSON and
-#      Prometheus exposition are archived to bench-archive/)
+#      SLO burn-rate engine tests; then the serve and learn chaos matrices,
+#      whose per-cell incident checks require exactly one verified,
+#      checksummed dump per breaker-trip/rollback trigger, only verified
+#      dumps in learn cells, and zero dumps everywhere else; then a clean
+#      serve_bench run that must produce zero dumps with every SLO met — its
+#      SLO status JSON and Prometheus exposition are archived to
+#      bench-archive/)
 #  12. the TenantMesh gate (tests/shard_router_test: consistent-hash
 #      stability, tenant isolation under one-tenant overload, per-tenant
 #      rollout promote/rollback; then the serve_mt_storm smoke run: the
@@ -256,31 +259,41 @@ if gate_enabled serve "$SKIP_SERVE"; then
   fi
 fi
 
+# Archives one chaos_matrix report ($1 = report stem under build/bench) and
+# prints the keys named by the extended regex $2.
+archive_chaos_report() {
+  local json="build/bench/$1.json"
+  if [[ -f "$json" ]]; then
+    mkdir -p bench-archive
+    local stamp
+    stamp="$(date +%Y%m%d-%H%M%S)"
+    cp "$json" "bench-archive/$1-$stamp.json"
+    echo "archived bench-archive/$1-$stamp.json"
+    grep -oE "$2" "$json" | sed 's/^/  /' || true
+  else
+    echo "note: $json not found; skipping archive" >&2
+  fi
+}
+
 if gate_enabled chaos "$SKIP_CHAOS"; then
-  echo "== chaos sweep (small budget) =="
-  ./build/bench/chaos_sweep --seeds=2 --steps=24 --budget-seconds=60
+  echo "== pipeline chaos matrix =="
+  (cd build/bench && ./chaos_matrix --matrix=pipeline \
+    --out=BENCH_chaos_pipeline.json)
+  archive_chaos_report BENCH_chaos_pipeline \
+    '"scenarios": [0-9]+|"failures": [0-9]+'
 fi
 
 if gate_enabled serve-chaos "$SKIP_SERVE_CHAOS"; then
   echo "== serving chaos gate (serve.* fault matrix) =="
-  (cd build/bench && ./serve_chaos --seeds=2 --steps=12 --trace=48 \
+  (cd build/bench && ./chaos_matrix --matrix=serve \
     --out=BENCH_serve_chaos.json)
-  SERVE_CHAOS_JSON="build/bench/BENCH_serve_chaos.json"
-  if [[ -f "$SERVE_CHAOS_JSON" ]]; then
-    mkdir -p bench-archive
-    STAMP="$(date +%Y%m%d-%H%M%S)"
-    cp "$SERVE_CHAOS_JSON" "bench-archive/BENCH_serve_chaos-$STAMP.json"
-    echo "archived bench-archive/BENCH_serve_chaos-$STAMP.json"
-    grep -oE '"scenarios": [0-9]+|"failures": [0-9]+|"rollback_instants": [0-9]+' \
-      "$SERVE_CHAOS_JSON" | sed 's/^/  /' || true
-  else
-    echo "note: $SERVE_CHAOS_JSON not found; skipping archive" >&2
-  fi
+  archive_chaos_report BENCH_serve_chaos \
+    '"scenarios": [0-9]+|"failures": [0-9]+|"rollback_instants": [0-9]+'
 fi
 
 if gate_enabled learn "$SKIP_LEARN"; then
   echo "== continuous-learning gate (LearnGuard fault matrix + live loop) =="
-  (cd build/bench && ./learn_chaos --seeds=2 --steps=6 --trace=48 \
+  (cd build/bench && ./chaos_matrix --matrix=learn \
     --out=BENCH_learn_chaos.json)
   (cd build/bench && ./continuous_bench --waves=8 --steps=4 \
     --min-publishes=3 --out=BENCH_online.json)
@@ -304,12 +317,13 @@ if gate_enabled obs "$SKIP_OBS"; then
   echo "== OpsPlane gate (incident dumps + SLO status) =="
   ctest --test-dir build -L obs --output-on-failure -j "$JOBS"
 
-  # Chaos halves: each binary asserts its own incident contract per scenario
-  # (exactly one verified dump per breaker-trip / rollback / quarantine
-  # trigger, zero everywhere else) and exits nonzero on any violation.
-  (cd build/bench && ./serve_chaos --seeds=1 --steps=12 --trace=48 \
+  # Chaos halves: the runner checks each cell's incident dumps against its
+  # matrix's policy (exactly one verified dump per breaker-trip / rollback
+  # trigger, verified dumps only in learn cells, zero everywhere else) and
+  # exits nonzero on any violation.
+  (cd build/bench && ./chaos_matrix --matrix=serve \
     --out=BENCH_serve_chaos_obs.json)
-  (cd build/bench && ./learn_chaos --seeds=1 --steps=6 --trace=48 \
+  (cd build/bench && ./chaos_matrix --matrix=learn \
     --out=BENCH_learn_chaos_obs.json)
 
   # Clean half: a fault-free serve_bench run must end with an empty incident

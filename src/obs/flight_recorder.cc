@@ -498,4 +498,62 @@ std::vector<std::string> ListIncidentDumps(const std::string& incident_root) {
   return dumps;
 }
 
+namespace {
+
+/// The timeline instant that explains a dump with `reason`.
+std::string_view TimelineMarker(std::string_view reason) {
+  if (reason == "serve.breaker_trip") return "circuit_breaker";
+  if (reason == "rollout.rollback") return "rollback";
+  if (reason == "serve.shed_burst") return "shed_burst";
+  if (reason == "serve.deadline_storm") return "deadline_storm";
+  return reason;
+}
+
+}  // namespace
+
+IncidentCheck CheckIncidentDumps(const std::string& incident_dir,
+                                 IncidentPolicy policy,
+                                 std::string_view expected_reason) {
+  IncidentCheck check;
+  const std::vector<std::string> dumps = ListIncidentDumps(incident_dir);
+  check.dumps = static_cast<int>(dumps.size());
+  if (policy == IncidentPolicy::kNone && !dumps.empty()) {
+    check.failures.push_back(std::to_string(dumps.size()) +
+                             " unexpected incident dump(s) under " +
+                             incident_dir);
+  }
+  if (policy == IncidentPolicy::kExactlyOne && dumps.size() != 1) {
+    check.failures.push_back("expected exactly 1 \"" +
+                             std::string(expected_reason) + "\" dump under " +
+                             incident_dir + ", found " +
+                             std::to_string(dumps.size()));
+  }
+  for (const std::string& dump : dumps) {
+    const Status verified = VerifyIncidentDump(dump);
+    const Result<IncidentManifest> manifest = ReadIncidentManifest(dump);
+    if (!verified.ok() || !manifest.ok()) {
+      check.failures.push_back("incident dump " + dump +
+                               " did not verify: " + verified.ToString());
+      continue;
+    }
+    if (policy == IncidentPolicy::kExactlyOne &&
+        manifest->reason != expected_reason) {
+      check.failures.push_back("incident dump " + dump + " has reason \"" +
+                               manifest->reason + "\", want \"" +
+                               std::string(expected_reason) + "\"");
+    }
+    const std::string_view marker = TimelineMarker(manifest->reason);
+    const Result<std::string> timeline =
+        ReadFileVerifyingChecksum(dump + "/timeline.jsonl");
+    if (!timeline.ok() || timeline->find(marker) == std::string::npos) {
+      check.failures.push_back("timeline in " + dump +
+                               " lacks the triggering instant \"" +
+                               std::string(marker) + "\"");
+      continue;
+    }
+    ++check.verified[manifest->reason];
+  }
+  return check;
+}
+
 }  // namespace activedp

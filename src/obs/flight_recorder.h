@@ -166,6 +166,33 @@ Result<IncidentManifest> ReadIncidentManifest(const std::string& dir);
 /// only — in-progress temp directories are excluded), sorted by name.
 std::vector<std::string> ListIncidentDumps(const std::string& incident_root);
 
+/// How CheckIncidentDumps judges the dumps one chaos-matrix cell left.
+enum class IncidentPolicy {
+  /// The cell must not dump at all.
+  kNone,
+  /// Exactly one dump, carrying the expected reason.
+  kExactlyOne,
+  /// Any number of dumps, of any reason.
+  kAny,
+};
+
+/// What CheckIncidentDumps found under one incident directory.
+struct IncidentCheck {
+  int dumps = 0;
+  /// Dumps that verified and whose timeline holds their trigger, by reason.
+  std::map<std::string, int> verified;
+  /// One line per violation; empty when the dumps meet the policy.
+  std::vector<std::string> failures;
+};
+
+/// Checks the dumps under `incident_dir` against `policy`. Whatever the
+/// policy, every dump must pass VerifyIncidentDump and its timeline must
+/// contain the instant that explains its reason (the trigger sites emit it
+/// before triggering), so a dump is never merely implied.
+IncidentCheck CheckIncidentDumps(const std::string& incident_dir,
+                                 IncidentPolicy policy,
+                                 std::string_view expected_reason = {});
+
 /// Steady-clock microseconds since process start — the recorder's (and SLO
 /// engine's) time base.
 int64_t ObsNowMicros();

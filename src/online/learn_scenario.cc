@@ -9,12 +9,12 @@
 #include "data/dataset_zoo.h"
 #include "online/event_log.h"
 #include "online/retrainer.h"
+#include "serve/chaos_scenario.h"
 #include "serve/prediction_service.h"
 #include "serve/rollout.h"
 #include "serve/snapshot_export.h"
 #include "serve/snapshot_io.h"
 #include "serve/snapshot_registry.h"
-#include "util/timer.h"
 
 namespace activedp {
 namespace {
@@ -25,29 +25,24 @@ constexpr uint64_t kRolloutSeed = 0x1ea4;
 
 constexpr int kSegmentRecords = 64;
 
+/// How a retrain cycle with an honored fault armed at `site` must end.
+struct FaultedCycle {
+  std::string_view site;
+  RetrainOutcome outcome;
+  /// The cycle must also have quarantined at least one segment.
+  bool quarantines;
+};
+
+constexpr FaultedCycle kFaultedCycles[] = {
+    // Every append failed, so the cycle legitimately sees no data.
+    {"eventlog.append", RetrainOutcome::kNoData, false},
+    {"eventlog.replay", RetrainOutcome::kQuarantined, true},
+    {"retrain.fit", RetrainOutcome::kFitFailed, true},
+    {"retrain.validate", RetrainOutcome::kQuarantined, true},
+    {"publish.rollout", RetrainOutcome::kQuarantined, false},
+};
+
 }  // namespace
-
-const std::vector<LearnChaosSiteInfo>& LearnChaosSites() {
-  static const std::vector<LearnChaosSiteInfo>* sites =
-      new std::vector<LearnChaosSiteInfo>{
-          {"eventlog.append", FaultKindBit(FaultKind::kError) |
-                                  FaultKindBit(FaultKind::kTruncateWrite)},
-          {"eventlog.replay", FaultKindBit(FaultKind::kError) |
-                                  FaultKindBit(FaultKind::kCorrupt)},
-          {"retrain.fit",
-           FaultKindBit(FaultKind::kError) | FaultKindBit(FaultKind::kNan)},
-          {"retrain.validate", FaultKindBit(FaultKind::kError)},
-          {"publish.rollout", FaultKindBit(FaultKind::kError)},
-      };
-  return *sites;
-}
-
-const std::vector<FaultKind>& LearnChaosKinds() {
-  static const std::vector<FaultKind>* kinds = new std::vector<FaultKind>{
-      FaultKind::kError, FaultKind::kNan, FaultKind::kCorrupt,
-      FaultKind::kTruncateWrite};
-  return *kinds;
-}
 
 Result<LearnChaosFixture> BuildLearnChaosFixture(const std::string& dir,
                                                  const std::string& dataset,
@@ -94,25 +89,16 @@ Result<LearnChaosFixture> BuildLearnChaosFixture(const std::string& dir,
   return fixture;
 }
 
-LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
-                                        std::string_view site, FaultKind kind,
-                                        uint64_t seed) {
-  LearnChaosOutcome outcome;
-  Timer timer;
-
-  const LearnChaosSiteInfo* info = nullptr;
-  for (const LearnChaosSiteInfo& candidate : LearnChaosSites()) {
-    if (site == candidate.site) info = &candidate;
-  }
-  if (info == nullptr || fixture.trace.size() < 8) {
-    outcome.Fail("bad scenario setup (unknown site or tiny trace)");
-    return outcome;
-  }
-  const bool honored = (FaultKindBit(kind) & info->honored) != 0;
+ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
+                                   const ChaosSite& site, FaultKind kind,
+                                   uint64_t seed) {
+  ChaosOutcome outcome;
+  const bool honored = site.Honors(kind);
+  const std::string_view name = site.site;
   const bool torn_append =
-      site == "eventlog.append" && kind == FaultKind::kTruncateWrite && honored;
+      name == "eventlog.append" && kind == FaultKind::kTruncateWrite && honored;
 
-  const std::string tag = std::string(site) + "-" +
+  const std::string tag = std::string(name) + "-" +
                           std::string(FaultKindToString(kind)) + "-" +
                           std::to_string(seed);
   const std::string scenario_dir = fixture.dir + "/" + tag;
@@ -181,21 +167,17 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
   config.rollout_trace = &fixture.trace;
   Retrainer retrainer(config, retrain_options);
 
+  // Feeds one wave of exact labels; returns how many the service rejected.
   const int wave = std::min<int>(200, static_cast<int>(fixture.features.size()));
-  auto feed_wave = [&](int* ok_count, int* rejected_count) {
-    *ok_count = 0;
-    *rejected_count = 0;
+  auto feed_wave = [&] {
+    int rejected = 0;
     for (int i = 0; i < wave; ++i) {
-      FeedbackEvent event;
-      event.type = FeedbackType::kExactLabel;
-      event.row = i;
-      event.label = fixture.corpus_labels[i];
-      if (service.RecordFeedback(event).ok()) {
-        ++*ok_count;
-      } else {
-        ++*rejected_count;
-      }
+      const FeedbackEvent event{.type = FeedbackType::kExactLabel,
+                                .row = i,
+                                .label = fixture.corpus_labels[i]};
+      if (!service.RecordFeedback(event).ok()) ++rejected;
     }
+    return rejected;
   };
 
   // --- Drill: one feedback wave + one retrain cycle with the site armed.
@@ -207,11 +189,10 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
   // valid prefix to keep.
   if (torn_append) spec.trigger_after = 3;
   {
-    FaultScope scope(std::string(site), spec);
+    FaultScope scope(site.site, spec);
 
-    int appended = 0, rejected = 0;
-    feed_wave(&appended, &rejected);
-    if (site == "eventlog.append" && honored) {
+    const int rejected = feed_wave();
+    if (name == "eventlog.append" && honored) {
       // Clean rejection at append: the caller was told, durability was not
       // silently lost (the torn-write flavour reports success exactly once —
       // the simulated crash — then refuses everything).
@@ -243,43 +224,25 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
       if (service.snapshot() != fixture.snapshot) {
         outcome.Fail("faulted cycle touched the served snapshot");
       }
-      if (site == "eventlog.append") {
-        // Every append failed, so the cycle legitimately sees no data.
-        if (cycle->outcome != RetrainOutcome::kNoData) {
-          outcome.Fail("append-faulted cycle was not no-data: " +
-                       std::string(RetrainOutcomeToString(cycle->outcome)));
-        }
-      } else if (site == "eventlog.replay") {
-        if (cycle->outcome != RetrainOutcome::kQuarantined ||
-            cycle->segments_quarantined == 0) {
-          outcome.Fail("unreplayable segments were not quarantined: " +
-                       std::string(RetrainOutcomeToString(cycle->outcome)));
-        } else {
-          ++outcome.evidence;
-        }
-      } else if (site == "retrain.fit") {
-        if (cycle->outcome != RetrainOutcome::kFitFailed ||
-            cycle->segments_quarantined == 0) {
-          outcome.Fail("failed fit was not absorbed+quarantined: " +
-                       std::string(RetrainOutcomeToString(cycle->outcome)));
-        } else {
-          ++outcome.evidence;
-        }
-      } else if (site == "retrain.validate") {
-        if (cycle->outcome != RetrainOutcome::kQuarantined ||
-            cycle->segments_quarantined == 0) {
-          outcome.Fail("unvalidated candidate was not quarantined: " +
-                       std::string(RetrainOutcomeToString(cycle->outcome)));
-        } else {
-          ++outcome.evidence;
-        }
-      } else if (site == "publish.rollout") {
-        if (cycle->outcome != RetrainOutcome::kQuarantined) {
-          outcome.Fail("failed publish was not quarantined: " +
-                       std::string(RetrainOutcomeToString(cycle->outcome)));
-        } else {
-          ++outcome.evidence;
-        }
+      const FaultedCycle* want = nullptr;
+      for (const FaultedCycle& rule : kFaultedCycles) {
+        if (rule.site == name) want = &rule;
+      }
+      if (want == nullptr) {
+        outcome.Fail("no faulted-cycle expectation for this site");
+      } else if (cycle->outcome != want->outcome ||
+                 (want->quarantines && cycle->segments_quarantined == 0)) {
+        outcome.Fail("faulted cycle ended " +
+                     std::string(RetrainOutcomeToString(cycle->outcome)) +
+                     ", want " +
+                     std::string(RetrainOutcomeToString(want->outcome)) +
+                     (want->quarantines ? " with a quarantine" : ""));
+      } else if (want->outcome != RetrainOutcome::kNoData) {
+        // A no-data cycle is the append rejection counted above, not new
+        // evidence.
+        ++outcome.evidence;
+      }
+      if (name == "publish.rollout") {
         // The candidate was registered before the fault; it must be
         // condemned, with the base still active.
         const Result<SnapshotRecord> condemned =
@@ -314,7 +277,6 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
     if (!reopened.ok()) {
       outcome.Fail("log reopen after torn append failed: " +
                    reopened.status().ToString());
-      outcome.elapsed_seconds = timer.ElapsedSeconds();
       return outcome;
     }
     log = std::move(*reopened);
@@ -328,9 +290,7 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
   // survive are genuinely consumable.
   Retrainer recovery(config, retrain_options);
   {
-    int appended = 0, rejected = 0;
-    feed_wave(&appended, &rejected);
-    if (rejected > 0) {
+    if (feed_wave() > 0) {
       outcome.Fail("clean feedback rejected after the fault cleared");
     }
     const Result<RetrainReport> cycle = recovery.RunOnce();
@@ -340,8 +300,6 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
       outcome.Fail("post-fault cycle did not publish: " +
                    std::string(RetrainOutcomeToString(cycle->outcome)) + " (" +
                    cycle->detail + ")");
-    } else {
-      outcome.recovered_publish = true;
     }
   }
 
@@ -353,47 +311,19 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
       active.has_value()
           ? registry.Get(*active)
           : Result<SnapshotRecord>(Status::NotFound("no active snapshot"));
-  if (!active_record.ok()) {
-    outcome.Fail("no active snapshot after recovery");
+  const Result<ModelSnapshot> offline =
+      active_record.ok() ? LoadSnapshot(active_record->path)
+                         : Result<ModelSnapshot>(active_record.status());
+  const Result<std::vector<uint64_t>> expected =
+      offline.ok() ? OfflineDigests(*offline, fixture.trace)
+                   : Result<std::vector<uint64_t>>(offline.status());
+  if (!expected.ok()) {
+    outcome.Fail("active snapshot unservable offline: " +
+                 expected.status().ToString());
   } else {
-    Result<ModelSnapshot> offline = LoadSnapshot(active_record->path);
-    if (!offline.ok()) {
-      outcome.Fail("active snapshot unloadable: " +
-                   offline.status().ToString());
-    } else {
-      for (size_t i = 0; i < fixture.trace.size(); ++i) {
-        const Result<ServedPrediction> served =
-            service.Predict(fixture.trace[i]);
-        const Result<ServedPrediction> expected =
-            offline->Predict(fixture.trace[i]);
-        if (!served.ok() || !expected.ok()) {
-          outcome.Fail("surviving-path request " + std::to_string(i) +
-                       " failed");
-          break;
-        }
-        if (PredictionDigest(*served) != PredictionDigest(*expected)) {
-          ++outcome.digest_mismatches;
-        }
-      }
-      if (outcome.digest_mismatches > 0) {
-        outcome.Fail("served-digest divergence on the surviving path (" +
-                     std::to_string(outcome.digest_mismatches) + " rows)");
-      }
-    }
+    CheckSurvivingPath(service, fixture.trace, *expected, outcome);
   }
 
-  if (!honored && outcome.fires > 0) {
-    outcome.Fail("unhonored kind fired " + std::to_string(outcome.fires) +
-                 " times");
-  }
-  if (honored && outcome.fires == 0) {
-    outcome.Fail("site was never exercised (0 fires)");
-  }
-  if (outcome.fires > 0 && outcome.evidence == 0) {
-    outcome.Fail("injected faults left no rejection/quarantine evidence");
-  }
-
-  outcome.elapsed_seconds = timer.ElapsedSeconds();
   std::filesystem::remove_all(scenario_dir, ec);
   return outcome;
 }

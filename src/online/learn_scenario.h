@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "data/example.h"
@@ -13,20 +12,6 @@
 #include "util/result.h"
 
 namespace activedp {
-
-/// One LearnGuard fault site and the kinds it can express. Shared by
-/// bench/learn_chaos and the online tests so "full coverage" means the same
-/// matrix everywhere (the serve-side sibling is serve/chaos_scenario.h).
-struct LearnChaosSiteInfo {
-  const char* site;
-  uint32_t honored;
-};
-
-const std::vector<LearnChaosSiteInfo>& LearnChaosSites();
-
-/// Kinds the LearnGuard matrix sweeps. Unhonored (site, kind) pairs assert
-/// zero fires.
-const std::vector<FaultKind>& LearnChaosKinds();
 
 /// Everything a LearnGuard chaos scenario needs, built once per seed: a
 /// deliberately *weak* base snapshot (few protocol steps, so retrains have
@@ -53,48 +38,25 @@ Result<LearnChaosFixture> BuildLearnChaosFixture(const std::string& dir,
                                                  int base_steps,
                                                  int trace_size);
 
-struct LearnChaosOutcome {
-  bool passed = true;
-  std::string failure;
-  /// Injected-fault fires observed by the armed site.
-  int fires = 0;
-  /// Pieces of evidence the fault was handled: clean rejections, quarantined
-  /// segments, fit failures absorbed, condemned candidates, auto-rollbacks.
-  int evidence = 0;
-  /// Served responses after the drill whose digest diverged from the offline
-  /// prediction of the registry's active snapshot. Must be 0.
-  int digest_mismatches = 0;
-  /// Whether the post-fault clean cycle still published — the loop is not
-  /// wedged. Checked for every scenario.
-  bool recovered_publish = false;
-  double elapsed_seconds = 0.0;
-
-  void Fail(const std::string& why) {
-    passed = false;
-    if (!failure.empty()) failure += "; ";
-    failure += why;
-  }
-};
-
-/// Runs one (site, kind, seed) LearnGuard chaos scenario and asserts the
-/// continuous-learning contract (DESIGN.md §12):
+/// Runs one (site, kind, seed) cell of the chaos matrix's `learn` rows and
+/// asserts the continuous-learning contract (DESIGN.md §12):
 ///
 ///   - every injected fault ends in a clean rejection (non-OK status),
 ///     quarantine, or auto-rollback — never a crash, a served regression,
 ///     or a silently published bad candidate;
 ///   - the served snapshot is never touched by a failed cycle; after the
 ///     fault clears, a fresh feedback wave still retrains and publishes
-///     (the loop is not wedged — `recovered_publish`);
+///     (the loop is not wedged);
 ///   - after everything, served responses bitwise match the offline
 ///     predictions of the registry's active snapshot reloaded from its
-///     registered path (`digest_mismatches` == 0);
-///   - unhonored (site, kind) pairs never fire.
+///     registered path (`digest_mismatches` == 0).
 ///
-/// Each scenario builds a fresh event log, registry, service and retrainer
-/// from the fixture, so scenarios are independent and order-insensitive.
-LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
-                                        std::string_view site, FaultKind kind,
-                                        uint64_t seed);
+/// The fault accounting (CheckChaosAccounting) is left to the caller. Each
+/// scenario builds a fresh event log, registry, service and retrainer from
+/// the fixture, so scenarios are independent and order-insensitive.
+ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
+                                   const ChaosSite& site, FaultKind kind,
+                                   uint64_t seed);
 
 }  // namespace activedp
 

@@ -14,7 +14,6 @@
 #include "serve/snapshot_io.h"
 #include "serve/snapshot_registry.h"
 #include "util/retry.h"
-#include "util/timer.h"
 
 namespace activedp {
 namespace {
@@ -23,6 +22,8 @@ namespace {
 /// with it the promote/rollback expectations) is identical across scenario
 /// seeds and harnesses.
 constexpr uint64_t kRolloutSeed = 0x5eed;
+
+}  // namespace
 
 Result<std::vector<uint64_t>> OfflineDigests(const ModelSnapshot& snapshot,
                                              const std::vector<Example>& trace) {
@@ -36,29 +37,25 @@ Result<std::vector<uint64_t>> OfflineDigests(const ModelSnapshot& snapshot,
   return digests;
 }
 
-}  // namespace
-
-const std::vector<ServeChaosSiteInfo>& ServeChaosSites() {
-  static const std::vector<ServeChaosSiteInfo>* sites =
-      new std::vector<ServeChaosSiteInfo>{
-          {"snapshot.save", FaultKindBit(FaultKind::kError) |
-                                FaultKindBit(FaultKind::kTruncateWrite)},
-          {"serve.snapshot_load", FaultKindBit(FaultKind::kError) |
-                                      FaultKindBit(FaultKind::kCorrupt)},
-          {"serve.dispatch", FaultKindBit(FaultKind::kError)},
-          {"serve.predict", FaultKindBit(FaultKind::kLatencySpike)},
-          {"registry.save", FaultKindBit(FaultKind::kError) |
-                                FaultKindBit(FaultKind::kTruncateWrite)},
-          {"rollout.canary", FaultKindBit(FaultKind::kError)},
-      };
-  return *sites;
-}
-
-const std::vector<FaultKind>& ServeChaosKinds() {
-  static const std::vector<FaultKind>* kinds = new std::vector<FaultKind>{
-      FaultKind::kError, FaultKind::kCorrupt, FaultKind::kTruncateWrite,
-      FaultKind::kLatencySpike};
-  return *kinds;
+void CheckSurvivingPath(PredictionService& service,
+                        const std::vector<Example>& trace,
+                        const std::vector<uint64_t>& expected,
+                        ChaosOutcome& outcome) {
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const ServeReply served = service.Predict({.example = trace[i]});
+    if (!served.ok()) {
+      outcome.Fail("surviving-path request " + std::to_string(i) +
+                   " failed: " + served.status.ToString());
+      break;
+    }
+    if (PredictionDigest(served.prediction) != expected[i]) {
+      ++outcome.digest_mismatches;
+    }
+  }
+  if (outcome.digest_mismatches > 0) {
+    outcome.Fail("served-digest divergence on the surviving path (" +
+                 std::to_string(outcome.digest_mismatches) + " rows)");
+  }
 }
 
 Result<ServeChaosFixture> BuildServeChaosFixture(const std::string& dir,
@@ -91,6 +88,9 @@ Result<ServeChaosFixture> BuildServeChaosFixture(const std::string& dir,
   RETURN_IF_ERROR(SaveSnapshot(*fixture.snapshot_b, fixture.snapshot_b_path));
 
   const int rows = std::min(trace_size, split.train.size());
+  if (rows < 8) {
+    return Status::InvalidArgument("serve chaos fixture trace too small");
+  }
   fixture.trace.reserve(rows);
   for (int i = 0; i < rows; ++i) {
     fixture.trace.push_back(split.train.example(i));
@@ -102,23 +102,14 @@ Result<ServeChaosFixture> BuildServeChaosFixture(const std::string& dir,
   return fixture;
 }
 
-ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
-                                        std::string_view site, FaultKind kind,
-                                        uint64_t seed) {
-  ServeChaosOutcome outcome;
-  Timer timer;
+ChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
+                                   const ChaosSite& site, FaultKind kind,
+                                   uint64_t seed) {
+  ChaosOutcome outcome;
+  const bool honored = site.Honors(kind);
+  const std::string_view name = site.site;
 
-  const ServeChaosSiteInfo* info = nullptr;
-  for (const ServeChaosSiteInfo& candidate : ServeChaosSites()) {
-    if (site == candidate.site) info = &candidate;
-  }
-  if (info == nullptr || fixture.trace.size() < 8) {
-    outcome.Fail("bad scenario setup (unknown site or tiny trace)");
-    return outcome;
-  }
-  const bool honored = (FaultKindBit(kind) & info->honored) != 0;
-
-  const std::string tag = std::string(site) + "-" +
+  const std::string tag = std::string(name) + "-" +
                           std::string(FaultKindToString(kind)) + "-" +
                           std::to_string(seed);
   const std::string manifest = fixture.dir + "/registry-" + tag + ".manifest";
@@ -150,7 +141,7 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
   PredictionService service(service_options);
   service.LoadSnapshot(fixture.snapshot_a);
   for (int i = 0; i < 4; ++i) {
-    if (!service.Predict(fixture.trace[i]).ok()) {
+    if (!service.Predict({.example = fixture.trace[i]}).ok()) {
       outcome.Fail("warm-up request failed");
       return outcome;
     }
@@ -164,15 +155,15 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
   spec.kind = kind;
   spec.seed = seed;
   spec.max_fires = -1;
-  if (site == "serve.dispatch") {
+  if (name == "serve.dispatch") {
     spec.max_fires = service_options.breaker_threshold;
-  } else if (site == "serve.predict") {
+  } else if (name == "serve.predict") {
     spec.max_fires = 3;
   }
   {
-    FaultScope scope(std::string(site), spec);
+    FaultScope scope(site.site, spec);
 
-    if (site == "snapshot.save") {
+    if (name == "snapshot.save") {
       const std::string resave = fixture.dir + "/resave-" + tag + ".snapshot";
       std::filesystem::remove(resave);
       const Status saved = SaveSnapshot(*fixture.snapshot_a, resave);
@@ -191,7 +182,7 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
         outcome.Fail("unhonored kind disturbed the save/load roundtrip");
       }
       std::filesystem::remove(resave);
-    } else if (site == "serve.snapshot_load") {
+    } else if (name == "serve.snapshot_load") {
       const Result<ModelSnapshot> loaded =
           LoadSnapshot(fixture.snapshot_b_path);
       if (honored) {
@@ -206,7 +197,7 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
         outcome.Fail("unhonored kind failed the load: " +
                      loaded.status().ToString());
       }
-    } else if (site == "registry.save") {
+    } else if (name == "registry.save") {
       const size_t records_before = registry.records().size();
       const Result<int64_t> probe =
           registry.Register(fixture.snapshot_b_path, *id_b, "fault-probe");
@@ -253,7 +244,7 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
           outcome.Fail("unhonored kind disturbed the manifest write");
         }
       }
-    } else if (site == "rollout.canary") {
+    } else if (name == "rollout.canary") {
       RolloutOptions rollout;
       rollout.canary_fraction = 0.3;
       rollout.window = std::min<int>(64, static_cast<int>(fixture.trace.size()));
@@ -289,7 +280,7 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
           expected = &fixture.digests_b;
         }
       }
-    } else if (site == "serve.dispatch") {
+    } else if (name == "serve.dispatch") {
       // Promote the candidate, then fail its first `breaker_threshold`
       // batches: the circuit breaker must degrade back to the last-known-
       // good snapshot (A) and the registry rollback must record it.
@@ -301,12 +292,12 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
       policy.max_attempts = service_options.breaker_threshold + 2;
       policy.seed = seed;
       RetryLog retry_log;
-      const Result<ServedPrediction> recovered = PredictWithRetry(
-          service, fixture.trace[0], Deadline::Infinite(), policy, &retry_log);
+      const ServeReply recovered = PredictWithRetry(
+          service, {.example = fixture.trace[0]}, policy, &retry_log);
       if (honored) {
         if (!recovered.ok()) {
           outcome.Fail("client retry did not recover after the breaker: " +
-                       recovered.status().ToString());
+                       recovered.status.ToString());
         }
         if (service.breaker_trips() < 1 ||
             service.snapshot() != fixture.snapshot_a) {
@@ -336,48 +327,19 @@ ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
     // fire inside the surviving-path sweep below, which must stay OK and
     // bitwise-correct regardless.
 
-    // Surviving-path check: the service must still serve, and every
-    // response must bitwise match the offline prediction of whichever
-    // snapshot should now be active.
-    for (size_t i = 0; i < fixture.trace.size(); ++i) {
-      const Result<ServedPrediction> served =
-          service.Predict(fixture.trace[i]);
-      if (!served.ok()) {
-        outcome.Fail("surviving-path request " + std::to_string(i) +
-                     " failed: " + served.status().ToString());
-        break;
-      }
-      if (PredictionDigest(*served) != (*expected)[i]) {
-        ++outcome.digest_mismatches;
-      }
-    }
-    if (outcome.digest_mismatches > 0) {
-      outcome.Fail("served-digest divergence on the surviving path (" +
-                   std::to_string(outcome.digest_mismatches) + " rows)");
-    }
+    // The service must still serve the snapshot that should now be active.
+    CheckSurvivingPath(service, fixture.trace, *expected, outcome);
 
     outcome.fires = scope.fire_count();
   }
 
   // Latency spikes are self-evidencing: they fired, yet the sweep above
   // stayed OK and bitwise-correct — the fault was absorbed, not swallowed.
-  if (site == "serve.predict" && honored && outcome.fires > 0 &&
+  if (name == "serve.predict" && honored && outcome.fires > 0 &&
       outcome.digest_mismatches == 0) {
     ++outcome.evidence;
   }
 
-  if (!honored && outcome.fires > 0) {
-    outcome.Fail("unhonored kind fired " + std::to_string(outcome.fires) +
-                 " times");
-  }
-  if (honored && outcome.fires == 0) {
-    outcome.Fail("site was never exercised (0 fires)");
-  }
-  if (outcome.fires > 0 && outcome.evidence == 0) {
-    outcome.Fail("injected faults left no rejection/recovery evidence");
-  }
-
-  outcome.elapsed_seconds = timer.ElapsedSeconds();
   std::filesystem::remove(manifest);
   return outcome;
 }

@@ -4,30 +4,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "serve/model_snapshot.h"
+#include "serve/prediction_service.h"
 #include "util/fault.h"
 #include "util/result.h"
 
 namespace activedp {
-
-/// One serving-side fault site and the fault kinds it can express. The
-/// matrix (sites × kinds) is shared by bench/serve_chaos (the dedicated
-/// gate) and bench/chaos_sweep (the whole-system accounting report), so the
-/// two harnesses can never drift apart on what "full coverage" means.
-struct ServeChaosSiteInfo {
-  const char* site;
-  uint32_t honored;
-};
-
-const std::vector<ServeChaosSiteInfo>& ServeChaosSites();
-
-/// Kinds the serving matrix sweeps (error, corruption, torn write, latency
-/// spike). Unhonored (site, kind) pairs assert zero fires — the sites
-/// declare what they can express and the sweep verifies the declaration.
-const std::vector<FaultKind>& ServeChaosKinds();
 
 /// Everything a serve chaos scenario needs, built once per seed (training a
 /// pipeline is the expensive part): two exported snapshots (A = baseline, B
@@ -48,35 +32,28 @@ struct ServeChaosFixture {
 /// Trains a pipeline on a zoo dataset, exports snapshot A after `steps_a`
 /// protocol steps and snapshot B after `steps_b` more, saves both under
 /// `dir`, and precomputes the offline digests over the first `trace_size`
-/// train examples.
+/// train examples (at least 8).
 Result<ServeChaosFixture> BuildServeChaosFixture(const std::string& dir,
                                                  const std::string& dataset,
                                                  double scale, uint64_t seed,
                                                  int steps_a, int steps_b,
                                                  int trace_size);
 
-struct ServeChaosOutcome {
-  bool passed = true;
-  std::string failure;
-  /// Injected-fault fires observed by the armed site.
-  int fires = 0;
-  /// Pieces of evidence the fault was handled: clean rejections, detected
-  /// corruption, circuit-breaker trips, rollout rollbacks, absorbed spikes.
-  int evidence = 0;
-  /// Served responses on the surviving path whose digest diverged from the
-  /// offline prediction of whichever snapshot should be serving. Must be 0.
-  int digest_mismatches = 0;
-  double elapsed_seconds = 0.0;
+/// Each trace row's offline prediction digest under `snapshot`.
+Result<std::vector<uint64_t>> OfflineDigests(const ModelSnapshot& snapshot,
+                                             const std::vector<Example>& trace);
 
-  void Fail(const std::string& why) {
-    passed = false;
-    if (!failure.empty()) failure += "; ";
-    failure += why;
-  }
-};
+/// The surviving-path check both chaos scenario modules end with: serves
+/// every trace row through `service` and fails `outcome` on a failed
+/// request or any reply whose digest differs from `expected` (counted in
+/// `digest_mismatches`).
+void CheckSurvivingPath(PredictionService& service,
+                        const std::vector<Example>& trace,
+                        const std::vector<uint64_t>& expected,
+                        ChaosOutcome& outcome);
 
-/// Runs one (site, kind, seed) serving chaos scenario and asserts the
-/// ServeGuard contract (DESIGN.md §11):
+/// Runs one (site, kind, seed) cell of the chaos matrix's `serve` rows and
+/// asserts the ServeGuard contract (DESIGN.md §11):
 ///
 ///   - nothing crashes; every injected fault is either cleanly rejected
 ///     (non-OK status, detected corruption) or auto-recovered (circuit
@@ -87,14 +64,14 @@ struct ServeChaosOutcome {
 ///     should be active (`digest_mismatches` == 0);
 ///   - registry state stays consistent: a failed or torn manifest write
 ///     never leaves partial state, a condemned candidate is marked failed,
-///     a rollback re-activates the previous healthy snapshot;
-///   - unhonored (site, kind) pairs never fire.
+///     a rollback re-activates the previous healthy snapshot.
 ///
-/// Each scenario sets up a fresh registry + service from the fixture, so
+/// The fault accounting (CheckChaosAccounting) is left to the caller. Each
+/// scenario sets up a fresh registry + service from the fixture, so
 /// scenarios are independent and order-insensitive.
-ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
-                                        std::string_view site, FaultKind kind,
-                                        uint64_t seed);
+ChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
+                                   const ChaosSite& site, FaultKind kind,
+                                   uint64_t seed);
 
 }  // namespace activedp
 

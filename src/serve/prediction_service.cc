@@ -268,24 +268,6 @@ void PredictionService::PredictWithCallback(
   Submit(std::move(request), std::move(done));
 }
 
-std::future<Result<ServedPrediction>> PredictionService::PredictAsync(
-    Example example, Deadline deadline) {
-  auto promise = std::make_shared<std::promise<Result<ServedPrediction>>>();
-  std::future<Result<ServedPrediction>> future = promise->get_future();
-  ServeRequest request;
-  request.example = std::move(example);
-  request.deadline = deadline;
-  Submit(std::move(request), [promise](ServeReply reply) {
-    promise->set_value(std::move(reply).ToResult());
-  });
-  return future;
-}
-
-Result<ServedPrediction> PredictionService::Predict(Example example,
-                                                    Deadline deadline) {
-  return PredictAsync(std::move(example), deadline).get();
-}
-
 void PredictionService::AttachEventLog(EventLog* log) {
   std::lock_guard<std::mutex> lock(mutex_);
   event_log_ = log;
@@ -488,10 +470,11 @@ void PredictionService::RunBatch(
   span.AddArg("snapshot_groups",
               static_cast<int64_t>(group_snapshots.size()));
 
-  // Serving-side fault sites (bench/serve_chaos): a latency spike delays the
-  // batch without failing it — results stay bitwise correct, tail latency
-  // and queue-delay shedding absorb the hit; a dispatch fault fails the
-  // whole batch, which is what arms the circuit breaker below.
+  // Serving-side fault sites (the `serve` rows of bench/chaos_matrix): a
+  // latency spike delays the batch without failing it — results stay
+  // bitwise correct, tail latency and queue-delay shedding absorb the hit; a
+  // dispatch fault fails the whole batch, which is what arms the circuit
+  // breaker below.
   if (CheckFault("serve.predict", {FaultKind::kLatencySpike}) ==
       FaultKind::kLatencySpike) {
     span.AddArg("latency_spike_ms", static_cast<int64_t>(kLatencySpikeMs));

@@ -154,16 +154,6 @@ class PredictionService {
   void PredictWithCallback(ServeRequest request,
                            std::function<void(ServeReply)> done);
 
-  /// Deprecated positional-arg shim (pre-TenantMesh API; removal window:
-  /// two PRs, see README). Equivalent to PredictAsync(ServeRequest{...})
-  /// with the RejectInfo dropped from the collapsed Result.
-  std::future<Result<ServedPrediction>> PredictAsync(
-      Example example, Deadline deadline = Deadline::Infinite());
-
-  /// Deprecated positional-arg shim; see PredictAsync(Example, Deadline).
-  Result<ServedPrediction> Predict(Example example,
-                                   Deadline deadline = Deadline::Infinite());
-
   /// Attaches the durable feedback log RecordFeedback appends to (borrowed;
   /// must outlive the service or be detached with nullptr first). The
   /// LearnGuard loop (online/retrainer.h) consumes what lands here.
@@ -211,7 +201,7 @@ class PredictionService {
     std::function<void(ServeReply)> resolve;
   };
 
-  /// The one admission path both public overloads funnel into: either
+  /// The one admission path every public entry point funnels into: either
   /// queues the request (resolve is called later from the dispatcher) or
   /// calls resolve with the rejection before returning — always outside
   /// the service lock.

@@ -244,7 +244,7 @@ Result<RolloutReport> RunStagedRollout(PredictionService& service,
         controller.RecordOutcome(i, served.ok(), digest_match,
                                  timer.ElapsedMillis());
       } else {
-        const Result<ServedPrediction> served = service.Predict(trace[i]);
+        const ServeReply served = service.Predict({.example = trace[i]});
         controller.RecordOutcome(i, served.ok(), true, timer.ElapsedMillis());
       }
     }

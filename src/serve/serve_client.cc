@@ -93,16 +93,4 @@ ServeReply PredictWithRetry(ShardRouter& router, ServeRequest request,
       request, policy, log);
 }
 
-Result<ServedPrediction> PredictWithRetry(PredictionService& service,
-                                          const Example& example,
-                                          Deadline deadline,
-                                          const RetryPolicy& policy,
-                                          RetryLog* log) {
-  ServeRequest request;
-  request.example = example;
-  request.deadline = deadline;
-  return PredictWithRetry(service, std::move(request), policy, log)
-      .ToResult();
-}
-
 }  // namespace activedp

@@ -32,14 +32,6 @@ ServeReply PredictWithRetry(ShardRouter& router, ServeRequest request,
                             const RetryPolicy& policy,
                             RetryLog* log = nullptr);
 
-/// Deprecated positional-arg shim (pre-TenantMesh API; removal window: two
-/// PRs, see README). Collapses the ServeReply to the legacy Result shape.
-Result<ServedPrediction> PredictWithRetry(PredictionService& service,
-                                          const Example& example,
-                                          Deadline deadline,
-                                          const RetryPolicy& policy,
-                                          RetryLog* log = nullptr);
-
 }  // namespace activedp
 
 #endif  // ACTIVEDP_SERVE_SERVE_CLIENT_H_

@@ -51,8 +51,8 @@ struct RejectInfo {
 /// >= 1 lets a request bypass *adaptive* shedding (EWMA queue-delay checks)
 /// — never hard limits (queue depth, tenant quota) or deadline checks.
 struct ServeRequest {
-  std::string tenant_id;
-  Example example;
+  std::string tenant_id{};
+  Example example{};
   Deadline deadline = Deadline::Infinite();
   int priority = 0;
 };
@@ -67,17 +67,6 @@ struct ServeReply {
   std::optional<RejectInfo> reject;
 
   bool ok() const { return status.ok(); }
-
-  /// Collapses to the legacy Result shape (drops RejectInfo) — what the
-  /// deprecated positional-arg shims return.
-  Result<ServedPrediction> ToResult() const& {
-    if (status.ok()) return prediction;
-    return status;
-  }
-  Result<ServedPrediction> ToResult() && {
-    if (status.ok()) return std::move(prediction);
-    return std::move(status);
-  }
 
   static ServeReply Ok(ServedPrediction prediction) {
     ServeReply reply;

@@ -1,12 +1,15 @@
 #include "util/atomic_file.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #ifdef _WIN32
 #include <io.h>
+#include <process.h>
 #else
 #include <fcntl.h>
 #include <unistd.h>
@@ -17,18 +20,33 @@
 namespace activedp {
 namespace {
 
-/// Flushes a file's contents to stable storage. Best-effort on platforms
+/// Flushes a file's contents to stable storage. A no-op on platforms
 /// without fsync; the rename below still gives old-or-new atomicity.
-void SyncFile(const std::string& path) {
+Status SyncFile(const std::string& path) {
 #ifndef _WIN32
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  if (fd < 0) return Status::Internal("cannot open for fsync: " + path);
+  const int synced = ::fsync(fd);
+  ::close(fd);
+  if (synced != 0) return Status::Internal("fsync failed: " + path);
 #else
   (void)path;
 #endif
+  return Status::Ok();
+}
+
+/// A temp name no other writer uses, in the destination's directory (so the
+/// rename stays on one filesystem): concurrent writers to one path each
+/// stage their own file, and the last rename wins whole.
+std::string UniqueTempPath(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+#ifndef _WIN32
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = static_cast<long>(::_getpid());
+#endif
+  return path + ".tmp." + std::to_string(pid) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace
@@ -54,23 +72,21 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
     return Status::Ok();
   }
 
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = UniqueTempPath(path);
+  Status status = Status::Ok();
   {
     std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
     if (!out) return Status::NotFound("cannot open for writing: " + tmp);
     out.write(content.data(), static_cast<std::streamsize>(content.size()));
     out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::Internal("write failed: " + tmp);
-    }
+    if (!out) status = Status::Internal("write failed: " + tmp);
   }
-  SyncFile(tmp);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed: " + tmp + " -> " + path);
+  if (status.ok()) status = SyncFile(tmp);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::Internal("rename failed: " + tmp + " -> " + path);
   }
-  return Status::Ok();
+  if (!status.ok()) std::remove(tmp.c_str());
+  return status;
 }
 
 std::string ContentChecksum(const std::string& content) {

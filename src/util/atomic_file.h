@@ -7,13 +7,16 @@
 
 namespace activedp {
 
-/// Crash-safe file persistence: content is written to `<path>.tmp`, flushed
-/// and fsync'd, then renamed over `path`, so a crash mid-save leaves either
-/// the old file or the new one — never a torn mix. An optional checksum
+/// Crash-safe file persistence: content is written to a temp file unique to
+/// this write (`<path>.tmp.<pid>.<n>`), flushed and fsync'd, then renamed
+/// over `path`, so a crash mid-save leaves either the old file or the new
+/// one — never a torn mix — and concurrent writers to one path never share
+/// a temp file. An optional checksum
 /// footer detects truncation that happens *outside* the atomic protocol
 /// (partial copies, disk corruption, fault-injected truncated writes).
 
-/// Atomically replaces `path` with `content` (tmp + fsync + rename).
+/// Atomically replaces `path` with `content` (tmp + fsync + rename). A
+/// failed write, fsync or rename returns non-OK and removes the temp file.
 /// Honors the "<site>" fault site via FaultKind::kTruncateWrite (writes a
 /// truncated file non-atomically and reports success, simulating a crash)
 /// and FaultKind::kError. Pass an empty `fault_site` to opt out.

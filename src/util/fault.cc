@@ -106,6 +106,27 @@ int FaultInjector::hit_count(const std::string& site) const {
   return it == sites_.end() ? 0 : it->second.hits;
 }
 
+void ChaosOutcome::Fail(const std::string& why) {
+  passed = false;
+  if (!failure.empty()) failure += "; ";
+  failure += why;
+}
+
+void CheckChaosAccounting(const ChaosSite& site, FaultKind kind,
+                          ChaosOutcome& outcome) {
+  const bool honored = site.Honors(kind);
+  if (!honored && outcome.fires > 0) {
+    outcome.Fail("unhonored kind fired " + std::to_string(outcome.fires) +
+                 " times");
+  }
+  if (honored && outcome.fires == 0) {
+    outcome.Fail("site was never exercised (0 fires)");
+  }
+  if (outcome.fires > 0 && outcome.evidence == 0) {
+    outcome.Fail("injected faults left no evidence");
+  }
+}
+
 FaultScope::FaultScope(std::string site, const FaultSpec& spec) {
   Arm(std::move(site), spec);
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -41,6 +42,13 @@ constexpr uint32_t FaultKindBit(FaultKind kind) {
   return 1u << static_cast<int>(kind);
 }
 
+/// Mask of every kind in `kinds`.
+constexpr uint32_t FaultKindMask(std::initializer_list<FaultKind> kinds) {
+  uint32_t mask = 0;
+  for (FaultKind kind : kinds) mask |= FaultKindBit(kind);
+  return mask;
+}
+
 /// All kinds honored — the default for sites that predate honored-kind
 /// filtering.
 constexpr uint32_t kAllFaultKinds = ~0u;
@@ -63,49 +71,10 @@ struct FaultSpec {
 /// query (CheckFault below) is a single relaxed atomic load when no site is
 /// armed, so production runs pay nothing.
 ///
-/// Known sites (see DESIGN.md "Failure semantics"):
-///   "glasso.solve"      graphical-lasso solve (kNan / kNoConverge / kError)
-///   "metal.fit"         MeTaL-style label-model fit (kNan / kError)
-///   "lr.fit"            logistic-regression training (kNan / kNoConverge /
-///                       kError)
-///   "oracle.create_lf"  simulated user LF creation (kEmptyResponse)
-///   "session.save"      session file write (kTruncateWrite / kError)
-///   "checkpoint.save"   run-checkpoint write (kTruncateWrite / kError)
-///
-/// Serving-side sites (DESIGN.md §11 "ServeGuard"):
-///   "snapshot.save"       snapshot file write (kTruncateWrite / kError)
-///   "serve.snapshot_load" snapshot file read (kError / kCorrupt — the bit
-///                         flip happens before checksum verification, so the
-///                         real detection path must reject it)
-///   "serve.dispatch"      batch dispatch in PredictionService (kError: the
-///                         whole batch fails with Internal — circuit-breaker
-///                         food)
-///   "serve.predict"       batch evaluation latency (kLatencySpike: bounded
-///                         sleep on the dispatcher thread; results stay
-///                         correct, tails grow)
-///   "registry.save"       snapshot-registry manifest write (kTruncateWrite /
-///                         kError)
-///   "rollout.canary"      canary-arm evaluation in RunStagedRollout (kError:
-///                         canary predictions fail, driving the error-rate
-///                         gate to an auto-rollback)
-///
-/// LearnGuard continuous-learning sites (DESIGN.md §12):
-///   "eventlog.append"   feedback-log record append (kError /
-///                       kTruncateWrite: a torn half-record reaches disk and
-///                       the handle refuses further work — recovery is
-///                       reopening the log, which truncates the tail)
-///   "eventlog.replay"   segment replay (kError / kCorrupt: a bit flip lands
-///                       before per-record checksum verification; the
-///                       retrainer quarantines the segment it cannot replay)
-///   "retrain.fit"       the guarded background refit (kError / kNan: the
-///                       warm-start weights are poisoned so the LR finite
-///                       guard must reject the diverged fit)
-///   "retrain.validate"  holdout scoring of a retrain candidate (kError:
-///                       an unvalidated candidate is quarantined, never
-///                       published)
-///   "publish.rollout"   publish infrastructure between Register and the
-///                       staged rollout (kError: the candidate is marked
-///                       failed and never serves)
+/// Every site, the kinds it honors and the subsystem that hosts it is listed
+/// in DESIGN.md §7 (pipeline), §11 (serving) and §12 (continuous learning);
+/// the chaos matrix runner (bench/chaos_matrix.cc) sweeps them all from one
+/// table of ChaosSite rows.
 class FaultInjector {
  public:
   /// Process-wide registry used by the ACTIVEDP_CHECK_FAULT sites.
@@ -121,7 +90,7 @@ class FaultInjector {
   /// not in `honored_mask` does NOT fire (and does not count as a fire):
   /// sites declare the kinds they can express, so fire_count() only ever
   /// counts injections that had an observable effect — the invariant the
-  /// chaos sweep's fault accounting rests on.
+  /// chaos matrix's fault accounting (CheckChaosAccounting) rests on.
   FaultKind Check(std::string_view site, uint32_t honored_mask = kAllFaultKinds);
 
   /// How many times `site` actually fired since it was (re-)armed.
@@ -157,10 +126,43 @@ inline FaultKind CheckFault(std::string_view site,
 
 inline FaultKind CheckFault(std::string_view site,
                             std::initializer_list<FaultKind> honored) {
-  uint32_t mask = 0;
-  for (FaultKind kind : honored) mask |= FaultKindBit(kind);
-  return CheckFault(site, mask);
+  return CheckFault(site, FaultKindMask(honored));
 }
+
+/// One row of a chaos matrix: a fault site and the kinds it can express
+/// (mirroring the mask its CheckFault call passes).
+struct ChaosSite {
+  const char* site;
+  uint32_t honored;
+
+  bool Honors(FaultKind kind) const {
+    return (FaultKindBit(kind) & honored) != 0;
+  }
+};
+
+/// What one chaos-matrix cell observed. Scenario callbacks fill it in;
+/// CheckChaosAccounting then judges the fault bookkeeping.
+struct ChaosOutcome {
+  bool passed = true;
+  std::string failure;
+  /// Injected-fault fires observed by the armed site.
+  int fires = 0;
+  /// Pieces of evidence the fault was handled: retries, degradations,
+  /// non-OK terminations, detected corruption, clean rejections,
+  /// quarantines, breaker trips, rollbacks, absorbed spikes.
+  int evidence = 0;
+  /// Served responses on the surviving path whose digest diverged from the
+  /// offline prediction of the snapshot that should be serving. Must be 0.
+  int digest_mismatches = 0;
+
+  void Fail(const std::string& why);
+};
+
+/// The fault-accounting check every chaos cell ends with: an unhonored kind
+/// must never fire, an honored kind must fire at least once, and fires must
+/// leave evidence. Records each violation on `outcome`.
+void CheckChaosAccounting(const ChaosSite& site, FaultKind kind,
+                          ChaosOutcome& outcome);
 
 /// RAII arming for tests and chaos harnesses: arms on construction (or via
 /// Arm(), for scopes covering several sites at once), disarms everything it

@@ -91,7 +91,7 @@ struct TraceSummary {
   int64_t num_spans = 0;
   int64_t num_events = 0;
 
-  /// Aligned human-readable table (perf_bench / chaos_sweep print this).
+  /// Aligned human-readable table (perf_bench / chaos_matrix print this).
   std::string ToString() const;
   std::string ToJson() const;
 };

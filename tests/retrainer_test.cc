@@ -317,9 +317,7 @@ TEST_F(RetrainerTest, CanaryFailureAutoRollsBackAndQuarantines) {
   EXPECT_EQ(h.registry->active_id(), h.base_id);
   EXPECT_EQ(retrainer.stats().rolled_back, 1);
 
-  const Result<ServedPrediction> served =
-      h.service->Predict(fixture_->trace[0]);
-  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(h.service->Predict({.example = fixture_->trace[0]}).ok());
 }
 
 TEST_F(RetrainerTest, PoisonedLogSurfacesAsInfrastructureError) {

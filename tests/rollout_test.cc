@@ -255,9 +255,9 @@ TEST_F(StagedRolloutTest, HealthyCandidateIsPromotedAndHotSwappedIn) {
 
   // The service was hot-swapped to the candidate: it now serves B's bitwise
   // predictions.
-  const Result<ServedPrediction> served = service.Predict(fixture_->trace[0]);
+  const ServeReply served = service.Predict({.example = fixture_->trace[0]});
   ASSERT_TRUE(served.ok());
-  EXPECT_EQ(PredictionDigest(*served), fixture_->digests_b[0]);
+  EXPECT_EQ(PredictionDigest(served.prediction), fixture_->digests_b[0]);
 }
 
 TEST_F(StagedRolloutTest, FaultyCanaryIsRolledBackAndNeverServed) {
@@ -276,9 +276,9 @@ TEST_F(StagedRolloutTest, FaultyCanaryIsRolledBackAndNeverServed) {
   EXPECT_EQ(stage.registry.Get(stage.id_b)->status, SnapshotStatus::kFailed);
 
   // The data plane never saw the condemned candidate.
-  const Result<ServedPrediction> served = service.Predict(fixture_->trace[0]);
+  const ServeReply served = service.Predict({.example = fixture_->trace[0]});
   ASSERT_TRUE(served.ok());
-  EXPECT_EQ(PredictionDigest(*served), fixture_->digests_a[0]);
+  EXPECT_EQ(PredictionDigest(served.prediction), fixture_->digests_a[0]);
 }
 
 TEST_F(StagedRolloutTest, SameTraceAndSeedDecideIdenticallyAcrossThreads) {

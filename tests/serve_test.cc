@@ -62,6 +62,11 @@ class ServeTest : public ::testing::Test {
     return split_->train.example(i % split_->train.size());
   }
 
+  static ServeRequest Request(int i,
+                              Deadline deadline = Deadline::Infinite()) {
+    return {.example = TrainExample(i), .deadline = deadline};
+  }
+
   static DataSplit* split_;
   static FrameworkContext* context_;
   static std::shared_ptr<const ModelSnapshot>* snapshot_a_;
@@ -81,20 +86,20 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossBatchSizes) {
     options.max_batch_delay_ms = 0.5;
     PredictionService service(options);
     service.LoadSnapshot(*snapshot_a_);
-    std::vector<std::future<Result<ServedPrediction>>> futures;
+    std::vector<std::future<ServeReply>> futures;
     for (int i = 0; i < n; ++i) {
-      futures.push_back(service.PredictAsync(TrainExample(i)));
+      futures.push_back(service.PredictAsync(Request(i)));
     }
     for (int i = 0; i < n; ++i) {
-      Result<ServedPrediction> served = futures[i].get();
-      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      const ServeReply served = futures[i].get();
+      ASSERT_TRUE(served.ok()) << served.status.ToString();
       Result<ServedPrediction> offline =
           (*snapshot_a_)->Predict(TrainExample(i));
       ASSERT_TRUE(offline.ok());
-      EXPECT_EQ(served->proba, offline->proba)
+      EXPECT_EQ(served.prediction.proba, offline->proba)
           << "batch_size " << batch_size << " row " << i;
-      EXPECT_EQ(served->label, offline->label);
-      EXPECT_EQ(static_cast<int>(served->source),
+      EXPECT_EQ(served.prediction.label, offline->label);
+      EXPECT_EQ(static_cast<int>(served.prediction.source),
                 static_cast<int>(offline->source));
     }
   }
@@ -108,12 +113,12 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossThreadCounts) {
     PredictionService service;
     service.LoadSnapshot(*snapshot_a_);
     for (int i = 0; i < n; ++i) {
-      Result<ServedPrediction> served = service.Predict(TrainExample(i));
+      const ServeReply served = service.Predict(Request(i));
       ASSERT_TRUE(served.ok());
       Result<ServedPrediction> offline =
           (*snapshot_a_)->Predict(TrainExample(i));
       ASSERT_TRUE(offline.ok());
-      EXPECT_EQ(served->proba, offline->proba)
+      EXPECT_EQ(served.prediction.proba, offline->proba)
           << "threads " << threads << " row " << i;
     }
   }
@@ -140,19 +145,20 @@ TEST_F(ServeTest, HotSwapUnderLoadServesOneOfTheTwoSnapshots) {
     clients.emplace_back([&, c] {
       for (int k = 0; k < kPerClient; ++k) {
         const int row = c * kPerClient + k;
-        Result<ServedPrediction> served = service.Predict(TrainExample(row));
+        const ServeReply served = service.Predict(Request(row));
         if (!served.ok()) {
           mismatches.fetch_add(1);
           continue;
         }
+        const ServedPrediction& got = served.prediction;
         Result<ServedPrediction> via_a =
             (*snapshot_a_)->Predict(TrainExample(row));
         Result<ServedPrediction> via_b =
             (*snapshot_b_)->Predict(TrainExample(row));
-        const bool matches_a = via_a.ok() && served->proba == via_a->proba &&
-                               served->label == via_a->label;
-        const bool matches_b = via_b.ok() && served->proba == via_b->proba &&
-                               served->label == via_b->label;
+        const bool matches_a = via_a.ok() && got.proba == via_a->proba &&
+                               got.label == via_a->label;
+        const bool matches_b = via_b.ok() && got.proba == via_b->proba &&
+                               got.label == via_b->label;
         if (!matches_a && !matches_b) mismatches.fetch_add(1);
       }
     });
@@ -175,9 +181,7 @@ TEST_F(ServeTest, QueueFullReturnsUnavailable) {
   std::vector<std::future<ServeReply>> futures;
   int rejected = 0;
   for (int i = 0; i < 32; ++i) {
-    ServeRequest request;
-    request.example = TrainExample(i);
-    futures.push_back(service.PredictAsync(std::move(request)));
+    futures.push_back(service.PredictAsync(Request(i)));
   }
   for (auto& future : futures) {
     const ServeReply reply = future.get();
@@ -201,21 +205,20 @@ TEST_F(ServeTest, QueueFullReturnsUnavailable) {
 TEST_F(ServeTest, ExpiredDeadlineFailsFastWithoutPoisoningTheBatch) {
   PredictionService service;
   service.LoadSnapshot(*snapshot_a_);
-  std::future<Result<ServedPrediction>> expired =
-      service.PredictAsync(TrainExample(0), Deadline::After(0.0));
-  std::future<Result<ServedPrediction>> healthy =
-      service.PredictAsync(TrainExample(1));
-  const Result<ServedPrediction> expired_result = expired.get();
+  std::future<ServeReply> expired =
+      service.PredictAsync(Request(0, Deadline::After(0.0)));
+  std::future<ServeReply> healthy = service.PredictAsync(Request(1));
+  const ServeReply expired_result = expired.get();
   ASSERT_FALSE(expired_result.ok());
-  EXPECT_EQ(expired_result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired_result.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(healthy.get().ok());
 }
 
 TEST_F(ServeTest, RequestsWithoutSnapshotAreRejected) {
   PredictionService service;
-  const Result<ServedPrediction> result = service.Predict(TrainExample(0));
+  const ServeReply result = service.Predict(Request(0));
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
@@ -224,19 +227,19 @@ TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
   options.max_batch_delay_ms = 50.0;
   auto service = std::make_unique<PredictionService>(options);
   service->LoadSnapshot(*snapshot_a_);
-  std::vector<std::future<Result<ServedPrediction>>> futures;
+  std::vector<std::future<ServeReply>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(service->PredictAsync(TrainExample(i)));
+    futures.push_back(service->PredictAsync(Request(i)));
   }
   service->Shutdown();
   for (auto& future : futures) {
-    const Result<ServedPrediction> result = future.get();
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    const ServeReply result = future.get();
+    EXPECT_TRUE(result.ok()) << result.status.ToString();
   }
   // After shutdown new requests are refused, not queued forever.
-  const Result<ServedPrediction> late = service->Predict(TrainExample(0));
+  const ServeReply late = service->Predict(Request(0));
   ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
 }
 
 TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
@@ -250,11 +253,9 @@ TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
   service.LoadSnapshot(*snapshot_a_);
 
   // Cold shedder: the first request is admitted and served normally.
-  ASSERT_TRUE(service.Predict(TrainExample(0)).ok());
+  ASSERT_TRUE(service.Predict(Request(0)).ok());
 
-  ServeRequest request;
-  request.example = TrainExample(1);
-  const ServeReply shed = service.Predict(std::move(request));
+  const ServeReply shed = service.Predict(Request(1));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
   EXPECT_NE(shed.status.ToString().find("overloaded"), std::string::npos)
@@ -265,8 +266,7 @@ TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
 
   // priority >= 1 bypasses the adaptive shedder (never the hard limits):
   // the same request that just shed is admitted and served.
-  ServeRequest urgent;
-  urgent.example = TrainExample(1);
+  ServeRequest urgent = Request(1);
   urgent.priority = 1;
   EXPECT_TRUE(service.Predict(std::move(urgent)).ok());
 
@@ -283,15 +283,15 @@ TEST_F(ServeTest, DoomedDeadlinesFailFastAtAdmission) {
   options.max_batch_delay_ms = 50.0;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
-  ASSERT_TRUE(service.Predict(TrainExample(0)).ok());  // warm the EWMA
+  ASSERT_TRUE(service.Predict(Request(0)).ok());  // warm the EWMA
 
   // 100ns of budget: already expired at admission, or (with the EWMA warm)
   // provably unable to survive the queue. Both are a fail-fast
   // DeadlineExceeded, never a queued request that times out later.
-  const Result<ServedPrediction> doomed =
-      service.Predict(TrainExample(1), Deadline::After(1e-7));
+  const ServeReply doomed =
+      service.Predict(Request(1, Deadline::After(1e-7)));
   ASSERT_FALSE(doomed.ok());
-  EXPECT_EQ(doomed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(doomed.status.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
@@ -302,8 +302,8 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
   // Two healthy batches make A the last-known-good.
-  ASSERT_TRUE(service.Predict(TrainExample(0)).ok());
-  ASSERT_TRUE(service.Predict(TrainExample(1)).ok());
+  ASSERT_TRUE(service.Predict(Request(0)).ok());
+  ASSERT_TRUE(service.Predict(Request(1)).ok());
   ASSERT_EQ(service.last_known_good(), *snapshot_a_);
 
   service.LoadSnapshot(*snapshot_b_);
@@ -313,9 +313,9 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
     spec.max_fires = options.breaker_threshold;
     FaultScope scope("serve.dispatch", spec);
     for (int i = 0; i < options.breaker_threshold; ++i) {
-      const Result<ServedPrediction> failed = service.Predict(TrainExample(i));
+      const ServeReply failed = service.Predict(Request(i));
       ASSERT_FALSE(failed.ok());
-      EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
     }
     EXPECT_EQ(scope.fire_count(), options.breaker_threshold);
   }
@@ -323,8 +323,8 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
   // swapped back to A; the service recovers without operator action.
   EXPECT_EQ(service.breaker_trips(), 1);
   EXPECT_EQ(service.snapshot(), *snapshot_a_);
-  const Result<ServedPrediction> recovered = service.Predict(TrainExample(2));
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const ServeReply recovered = service.Predict(Request(2));
+  ASSERT_TRUE(recovered.ok()) << recovered.status.ToString();
   EXPECT_EQ(service.Health().breaker_trips, 1);
 }
 
@@ -344,9 +344,8 @@ TEST_F(ServeTest, PredictWithRetryRecoversFromTransientFaults) {
   policy.max_attempts = 3;
   policy.seed = 7;
   RetryLog log;
-  const Result<ServedPrediction> result = PredictWithRetry(
-      service, TrainExample(0), Deadline::Infinite(), policy, &log);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ServeReply result = PredictWithRetry(service, Request(0), policy, &log);
+  ASSERT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_EQ(scope.fire_count(), 1);
   EXPECT_EQ(log.count("serve.submit"), 1);
   EXPECT_EQ(log.recovered_count("serve.submit"), 1);
@@ -357,17 +356,15 @@ TEST_F(ServeTest, PredictWithRetryDoesNotRetryDeterministicFailures) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   RetryLog log;
-  const Result<ServedPrediction> result = PredictWithRetry(
-      service, TrainExample(0), Deadline::Infinite(), policy, &log);
+  const ServeReply result = PredictWithRetry(service, Request(0), policy, &log);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(log.count("serve.submit"), 0);
 }
 
 TEST_F(ServeTest, ServeReplyCarriesStructuredRejectInfo) {
   // The structured replacement for the old "retry-after-ms=<n>" string
-  // hint: RejectInfo rides alongside the Status, and the deprecated
-  // positional-arg shims collapse it away via ToResult().
+  // hint: RejectInfo rides alongside the Status.
   ServeReply reply = ServeReply::Rejected(
       Status::Unavailable("prediction queue is full (depth=8 of max 8)"),
       RejectInfo{12.0, 8, RejectReason::kQueueFull});
@@ -375,9 +372,8 @@ TEST_F(ServeTest, ServeReplyCarriesStructuredRejectInfo) {
   EXPECT_EQ(reply.reject->retry_after_ms, 12.0);
   EXPECT_EQ(reply.reject->queue_depth, 8);
   EXPECT_EQ(RejectReasonToString(reply.reject->reason), "queue-full");
-  const Result<ServedPrediction> collapsed = reply.ToResult();
-  ASSERT_FALSE(collapsed.ok());
-  EXPECT_EQ(collapsed.status().code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status.code(), StatusCode::kUnavailable);
 
   EXPECT_EQ(RejectReasonToString(RejectReason::kOverloaded), "overloaded");
   EXPECT_EQ(RejectReasonToString(RejectReason::kQuotaExceeded),
@@ -387,7 +383,6 @@ TEST_F(ServeTest, ServeReplyCarriesStructuredRejectInfo) {
   ServeReply ok_reply = ServeReply::Ok(ServedPrediction{});
   EXPECT_TRUE(ok_reply.ok());
   EXPECT_FALSE(ok_reply.reject.has_value());
-  EXPECT_TRUE(ok_reply.ToResult().ok());
 }
 
 TEST_F(ServeTest, PredictWithRetryClampsBackoffToTheDeadlineBudget) {
@@ -413,9 +408,9 @@ TEST_F(ServeTest, PredictWithRetryClampsBackoffToTheDeadlineBudget) {
   policy.sleep = true;
   RetryLog log;
   const Deadline deadline = Deadline::After(0.5);
-  const Result<ServedPrediction> result =
-      PredictWithRetry(service, TrainExample(0), deadline, policy, &log);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ServeReply result =
+      PredictWithRetry(service, Request(0, deadline), policy, &log);
+  ASSERT_TRUE(result.ok()) << result.status.ToString();
   ASSERT_EQ(log.count("serve.submit"), 1);
   EXPECT_LE(log.events()[0].backoff_ms, 250.0)
       << "backoff not clamped to the deadline budget";
