@@ -5,8 +5,9 @@
 #   3. the same suite under the ASan+UBSan preset
 #   4. the thread-pool, parallel-stage and observability tests under TSan
 #      (-DACTIVEDP_SANITIZE=thread), which is what certifies the
-#      batch-scoped pool, the chunked reductions, and the tracer / metrics /
-#      retry-log write paths race-free
+#      batch-scoped pool, the chunked reductions, the label matrix's lazily
+#      built row view and pair-moment store (read by parallel label-model
+#      fits), and the tracer / metrics / retry-log write paths race-free
 #   5. a tier-1 build + ctest with -DACTIVEDP_SIMD=OFF, which certifies the
 #      scalar kernel fallback (the SIMD translation units compiled out)
 #      produces the same green suite — the other half of the kernels'
@@ -166,9 +167,10 @@ if gate_enabled tsan "$SKIP_TSAN"; then
     --target thread_pool_test determinism_test trace_test util_metrics_test \
              logging_test retry_test serve_test snapshot_test registry_test \
              rollout_test shard_router_test event_log_test retrainer_test \
-             obs_test
+             obs_test label_model_test sparse_kernels_test label_matrix_test \
+             activedp_incremental_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R "thread_pool_test|determinism_test|trace_test|util_metrics_test|logging_test|retry_test|serve_test|snapshot_test|registry_test|rollout_test|shard_router_test|event_log_test|retrainer_test|obs_test"
+    -R "thread_pool_test|determinism_test|trace_test|util_metrics_test|logging_test|retry_test|serve_test|snapshot_test|registry_test|rollout_test|shard_router_test|event_log_test|retrainer_test|obs_test|label_model_test|sparse_kernels_test|label_matrix_test|activedp_incremental_test"
 fi
 
 if gate_enabled simd "$SKIP_SIMD"; then

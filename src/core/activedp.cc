@@ -112,9 +112,10 @@ Status ActiveDp::Step() {
   query_indices_.push_back(query);
   pseudo_labels_.push_back(lf->label());
 
-  RetrainAlModel();
-  RetrainLabelModel();
-  return Status::Ok();
+  // A budget trip inside either retrain propagates (DESIGN.md §7) and
+  // abandons the rest of the step; the LF and its pseudo-label stay.
+  RETURN_IF_ERROR(RetrainAlModel());
+  return RetrainLabelModel();
 }
 
 Status ActiveDp::Restore(const SessionState& state) {
@@ -145,8 +146,8 @@ Status ActiveDp::Restore(const SessionState& state) {
                                  : lf->label());
   }
   if (!lfs_.empty()) {
-    RetrainAlModel();
-    RetrainLabelModel();
+    RETURN_IF_ERROR(RetrainAlModel());
+    RETURN_IF_ERROR(RetrainLabelModel());
   }
   return Status::Ok();
 }
@@ -159,9 +160,9 @@ SessionState ActiveDp::Snapshot() const {
   return state;
 }
 
-void ActiveDp::RetrainAlModel() {
+Status ActiveDp::RetrainAlModel() {
   const int t = static_cast<int>(query_indices_.size());
-  if (t < options_.min_labeled_for_al) return;
+  if (t < options_.min_labeled_for_al) return Status::Ok();
   bool has_two_classes = false;
   for (int i = 1; i < t; ++i) {
     if (pseudo_labels_[i] != pseudo_labels_[0]) {
@@ -169,7 +170,7 @@ void ActiveDp::RetrainAlModel() {
       break;
     }
   }
-  if (!has_two_classes) return;
+  if (!has_two_classes) return Status::Ok();
 
   TraceSpan span("al_model.fit");
   span.AddArg("num_labeled", t);
@@ -188,6 +189,7 @@ void ActiveDp::RetrainAlModel() {
                                                context_->feature_dim, lr);
           });
   if (!model.ok()) {
+    if (IsBudgetTrip(model.status())) return model.status();
     // Degradation cascade step 3: the pipeline keeps running on the label
     // model alone (ConFusion handles empty AL rows); a previously trained
     // AL model, if any, stays in service.
@@ -195,27 +197,31 @@ void ActiveDp::RetrainAlModel() {
                      al_model_.has_value()
                          ? "keeping previous AL model"
                          : "label-model-only ConFusion");
-    return;
+    return Status::Ok();
   }
   al_model_ = std::move(*model);
   al_proba_train_ = AlProba(context_->train_features);
+  return Status::Ok();
 }
 
-double ActiveDp::ValidationLabelModelAccuracy(
+Result<double> ActiveDp::ValidationLabelModelAccuracy(
     const std::vector<int>& columns) const {
   const LabelMatrix valid_selected = valid_matrix_.SelectColumns(columns);
   const LabelMatrix train_selected = train_matrix_.SelectColumns(columns);
   auto model = MakeLabelModel(options_.label_model_type);
-  if (!model->Fit(train_selected, context_->num_classes).ok()) return -1.0;
+  model->set_limits(options_.policy.limits);
+  const Status fit = model->Fit(train_selected, context_->num_classes);
+  if (IsBudgetTrip(fit)) return fit;
+  if (!fit.ok()) return -1.0;
   const Result<std::vector<int>> predictions =
       model->PredictAll(valid_selected);
   if (!predictions.ok()) return -1.0;
   return Accuracy(*predictions, context_->valid_labels);
 }
 
-void ActiveDp::RetrainLabelModel() {
+Status ActiveDp::RetrainLabelModel() {
   const int m = static_cast<int>(lfs_.size());
-  if (m == 0) return;
+  if (m == 0) return Status::Ok();
 
   std::vector<int> all(m);
   std::iota(all.begin(), all.end(), 0);
@@ -226,6 +232,7 @@ void ActiveDp::RetrainLabelModel() {
         m, context_->num_classes, valid_matrix_, context_->valid_labels,
         train_matrix_.SelectRows(query_indices_), pseudo_labels_,
         options_.label_pick, &recovery_);
+    if (IsBudgetTrip(picked.status())) return picked.status();
     if (!picked.ok()) {
       // Degradation cascade step 1 (total LabelPick failure): keep every
       // LF, i.e. run the label model unfiltered.
@@ -240,10 +247,11 @@ void ActiveDp::RetrainLabelModel() {
     // when it does not hurt label-model accuracy on the validation split
     // (the same holdout §3.2/§3.4 already consult).
     if (selected_.size() < all.size()) {
-      if (ValidationLabelModelAccuracy(selected_) + 1e-9 <
-          ValidationLabelModelAccuracy(all)) {
-        selected_ = all;
-      }
+      ASSIGN_OR_RETURN(const double selected_accuracy,
+                       ValidationLabelModelAccuracy(selected_));
+      ASSIGN_OR_RETURN(const double all_accuracy,
+                       ValidationLabelModelAccuracy(all));
+      if (selected_accuracy + 1e-9 < all_accuracy) selected_ = all;
     }
     pick_span.AddArg("kept", static_cast<int64_t>(selected_.size()));
   } else {
@@ -261,6 +269,7 @@ void ActiveDp::RetrainLabelModel() {
       return label_model_->Fit(train_selected, context_->num_classes);
     });
   }();
+  if (IsBudgetTrip(fit)) return fit;
   if (fit.ok()) {
     if (fallback_label_model_ != nullptr) {
       // The configured model recovered; leave the degraded mode.
@@ -286,7 +295,7 @@ void ActiveDp::RetrainLabelModel() {
                        "AL-model-only pipeline");
       fallback_label_model_.reset();
       label_model_ready_ = false;
-      return;
+      return Status::Ok();
     }
   }
 
@@ -308,7 +317,7 @@ void ActiveDp::RetrainLabelModel() {
                                   &lm_active_train_)
                 .ok()) {
           label_model_ready_ = true;
-          return;
+          return Status::Ok();
         }
       }
     }
@@ -316,9 +325,10 @@ void ActiveDp::RetrainLabelModel() {
                      "AL-model-only pipeline");
     fallback_label_model_.reset();
     label_model_ready_ = false;
-    return;
+    return Status::Ok();
   }
   label_model_ready_ = true;
+  return Status::Ok();
 }
 
 std::vector<std::vector<double>> ActiveDp::AlProba(

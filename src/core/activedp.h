@@ -126,16 +126,21 @@ class ActiveDp : public InteractiveFramework {
   }
 
  private:
-  void RetrainAlModel();
-  void RetrainLabelModel();
+  /// Both retrains degrade on a failed fit and record it in recovery(),
+  /// except a budget trip (DeadlineExceeded / Cancelled), which they return
+  /// unrecorded.
+  Status RetrainAlModel();
+  Status RetrainLabelModel();
   /// The label model currently serving predictions (configured model, or
   /// the majority-vote fallback after a degradation).
   const LabelModel* current_label_model() const {
     return fallback_label_model_ != nullptr ? fallback_label_model_.get()
                                             : label_model_.get();
   }
-  /// Label-model accuracy on the validation split using only `columns`.
-  double ValidationLabelModelAccuracy(const std::vector<int>& columns) const;
+  /// Label-model accuracy on the validation split using only `columns`
+  /// (-1 when the fit or its predictions fail); a budget trip is returned.
+  Result<double> ValidationLabelModelAccuracy(
+      const std::vector<int>& columns) const;
   SamplerContext BuildSamplerContext() const;
   /// AL probabilities for a feature set (empty inner vectors without model).
   std::vector<std::vector<double>> AlProba(

@@ -126,8 +126,7 @@ RunResult RunProtocol(InteractiveFramework& framework,
     }
     const Status status = framework.Step();
     if (!status.ok()) {
-      if (status.code() == StatusCode::kDeadlineExceeded ||
-          status.code() == StatusCode::kCancelled) {
+      if (IsBudgetTrip(status)) {
         result.termination = status;
         TraceInstant("deadline", "protocol.step", status.ToString());
       }

@@ -2,6 +2,7 @@
 
 #include "math/matrix.h"
 #include "util/check.h"
+#include "util/deadline.h"
 #include "util/logging.h"
 
 namespace activedp {
@@ -69,6 +70,7 @@ Result<std::vector<int>> LabelPick(int num_lfs, int num_classes,
   Result<std::vector<int>> blanket =
       MarkovBlanket(data, /*target=*/p - 1, options.blanket, recovery);
   if (!blanket.ok()) {
+    if (IsBudgetTrip(blanket.status())) return blanket.status();
     // Degradation cascade step 1: a glasso/blanket failure reduces
     // LabelPick to its validation-accuracy pruning step.
     if (recovery != nullptr) {

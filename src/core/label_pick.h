@@ -40,7 +40,8 @@ struct LabelPickOptions {
 /// LF, aligned with `lfs`); `query_matrix` holds LF outputs on the queried
 /// instances (one row per query); `pseudo_labels` are the ỹ_l inferred from
 /// user feedback. When `recovery` is non-null, a blanket failure that
-/// degrades to accuracy-pruning-only selection is recorded there.
+/// degrades to accuracy-pruning-only selection is recorded there; a budget
+/// trip (DeadlineExceeded / Cancelled) is returned instead.
 Result<std::vector<int>> LabelPick(int num_lfs, int num_classes,
                                    const LabelMatrix& valid_matrix,
                                    const std::vector<int>& valid_labels,

@@ -112,9 +112,7 @@ Result<std::vector<int>> MarkovBlanket(const Matrix& data, int target,
                 "glasso.solve", options.limits, solve)
           : solve();
   if (!result.ok()) {
-    const StatusCode code = result.status().code();
-    if (code == StatusCode::kDeadlineExceeded ||
-        code == StatusCode::kCancelled) {
+    if (IsBudgetTrip(result.status())) {
       // A spent budget is not a degradable failure; degrading to the
       // neighbourhood path would just burn more of it.
       return result.status();

@@ -24,7 +24,7 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
 
   const int n = matrix.num_rows();
   const int m = matrix.num_cols();
-  num_lfs_ = m;
+  num_lfs_ = 0;  // refuse predictions until this fit succeeds
 
   TraceSpan span("metal_completion.fit");
   span.AddArg("rows", n);
@@ -32,10 +32,13 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
 
   MetalModelOptions fallback_options;
   fallback_options.limits = options_.limits;
-  if (m < options_.min_lfs_for_completion) {
+  const auto fit_fallback = [&]() -> Status {
     fallback_.emplace(fallback_options);
-    return fallback_->Fit(matrix, num_classes);
-  }
+    RETURN_IF_ERROR(fallback_->Fit(matrix, num_classes));
+    num_lfs_ = m;
+    return Status::Ok();
+  };
+  if (m < options_.min_lfs_for_completion) return fit_fallback();
   fallback_.reset();
 
   // Spin means, coverages and class balance via majority vote, row-driven
@@ -43,7 +46,9 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   // rows with per-chunk partial sums combined in chunk order; every term is
   // a spin in {-1, +1} or a count, so the sums are exact integers and the
   // result is bitwise identical at any thread count.
-  matrix.EnsureRows();  // build the CSR view before the parallel regions
+  // Read before the parallel region: a first request builds the row view
+  // and the store.
+  const SpinPairMoments& moments = matrix.PairMoments();
   const int grain = BoundedGrain(n, 1024, 64);
   const int chunks = NumChunks(n, grain);
   std::vector<std::vector<double>> mean_part(chunks), coverage_part(chunks);
@@ -89,19 +94,18 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   const double var_y = std::max(1e-3, 1.0 - ey * ey);
 
   // Spin covariance with a ridge (abstains contribute 0 spins), via the
-  // pairwise active-product matrix P = S^T S of the spin CSR matrix:
+  // pairwise active-product matrix P = S^T S of the spin matrix, which the
+  // label matrix's pair-moment store holds (PairMoments().Sum):
   //   Σ(j, k) = P(j, k) / n − mean_j · mean_k.
-  // This is the textbook expansion of Σ_i (s_ij − m_j)(s_ik − m_k) / n and
-  // costs O(sum_i |active_i|^2) instead of O(n m^2). Every entry of P is an
-  // exact integer sum of ±1 products accumulated with chunk-ordered
-  // partials, so P — and therefore Σ — is bitwise identical at any thread
-  // count.
+  // This is the textbook expansion of Σ_i (s_ij − m_j)(s_ik − m_k) / n.
+  // Every entry of P is an exact integer, so Σ is bitwise identical at any
+  // thread count and however the store was built.
   RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
-  Matrix sigma = matrix.SpinCsr().SelfInnerProduct();
-  RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
+  Matrix sigma(m, m);
   for (int j = 0; j < m; ++j) {
     for (int k = j; k < m; ++k) {
-      sigma(j, k) = sigma(j, k) / n - mean[j] * mean[k];
+      sigma(j, k) =
+          static_cast<double>(moments.Sum(j, k)) / n - mean[j] * mean[k];
       sigma(k, j) = sigma(j, k);
     }
     sigma(j, j) += options_.ridge;
@@ -184,11 +188,10 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
                                 options_.accuracy_clamp);
     if (!std::isfinite(accuracies_[i])) finite = false;
   }
-  if (!finite) {
-    // The completion solve diverged; fall back to the robust estimator.
-    fallback_.emplace(fallback_options);
-    return fallback_->Fit(matrix, num_classes);
-  }
+  // A diverged completion solve falls back to the robust estimator.
+  if (!finite) return fit_fallback();
+  log_odds_ = MakeSpinLogOdds(accuracies_, positive_prior_);
+  num_lfs_ = m;
   return Status::Ok();
 }
 
@@ -197,7 +200,7 @@ Result<std::string> MetalCompletionModel::SerializeParams() const {
     return Status::FailedPrecondition("Fit before SerializeParams");
   // Use the effective accessors so a fallback-handled fit serializes the
   // parameters that actually drive PredictProba; both paths share
-  // SpinNaiveBayesProba, so restoring into completion state is bitwise
+  // SpinLogOdds, so restoring into completion state is bitwise
   // prediction-equivalent.
   std::vector<double> accuracies(num_lfs_);
   for (int j = 0; j < num_lfs_; ++j) accuracies[j] = accuracy_param(j);
@@ -207,6 +210,7 @@ Result<std::string> MetalCompletionModel::SerializeParams() const {
 Status MetalCompletionModel::RestoreParams(const std::string& params) {
   RETURN_IF_ERROR(DecodeSpinAccuracyParams(
       name(), params, &num_lfs_, &positive_prior_, &accuracies_));
+  log_odds_ = MakeSpinLogOdds(accuracies_, positive_prior_);
   fallback_.reset();
   return Status::Ok();
 }
@@ -221,7 +225,7 @@ Result<std::vector<double>> MetalCompletionModel::PredictProba(
         "weak-label row has " + std::to_string(weak_labels.size()) +
         " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
   }
-  return SpinNaiveBayesProba(accuracies_, positive_prior_, weak_labels);
+  return SpinNaiveBayesProba(log_odds_, weak_labels);
 }
 
 Result<std::vector<double>> MetalCompletionModel::PredictProbaSparse(
@@ -236,7 +240,7 @@ Result<std::vector<double>> MetalCompletionModel::PredictProbaSparse(
         "weak-label row has " + std::to_string(num_cols) +
         " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
   }
-  return SpinNaiveBayesProbaSparse(accuracies_, positive_prior_, row);
+  return SpinNaiveBayesProbaSparse(log_odds_, row);
 }
 
 }  // namespace activedp

@@ -7,6 +7,7 @@
 
 #include "labelmodel/label_model.h"
 #include "labelmodel/metal_model.h"
+#include "labelmodel/spin_utils.h"
 
 namespace activedp {
 
@@ -76,6 +77,7 @@ class MetalCompletionModel : public LabelModel {
   std::vector<double> accuracies_;
   double positive_prior_ = 0.5;
   int num_lfs_ = 0;
+  SpinLogOdds log_odds_;
   /// Engaged instead of the completion solve when m is small.
   std::optional<MetalModel> fallback_;
 };

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "labelmodel/spin_utils.h"
-#include "math/matrix.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/metrics.h"
@@ -44,106 +43,70 @@ Status MetalModel::Fit(const LabelMatrix& matrix, int num_classes) {
 
   const int n = matrix.num_rows();
   const int m = matrix.num_cols();
-  num_lfs_ = m;
+  num_lfs_ = 0;  // refuse predictions until this fit succeeds
 
-  // The matrix's CSR view gives each row's active (column, spin) entries
-  // directly — the pairwise pass is O(sum_i |active_i|^2) instead of
-  // O(n m^2) with no per-row column scan at all. Rows are processed in
-  // fixed-size chunks with per-chunk partial moment matrices combined in
-  // chunk order; every accumulated term is a spin product in {-1, +1} (or a
-  // count of 1.0), so the sums are exact integers and the combined result is
-  // bitwise identical at any thread count. Chunk count is capped so the
-  // partial matrices stay O(64 m^2) total.
-  matrix.EnsureRows();  // build the CSR view before the parallel region
-  const int grain = BoundedGrain(n, 1024, 32);
-  const int chunks = NumChunks(n, grain);
-  std::vector<Matrix> pair_sum_part(chunks), pair_count_part(chunks);
-  std::vector<double> mv_spin(n, 0.0);  // majority-vote spin per row
-  RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), n, grain, options_.limits, "metal.fit",
-      [&](int chunk, int begin, int end) {
-        Matrix& psum = pair_sum_part[chunk];
-        Matrix& pcount = pair_count_part[chunk];
-        psum = Matrix(m, m);
-        pcount = Matrix(m, m);
-        for (int i = begin; i < end; ++i) {
-          const ActiveRowView row = matrix.ActiveRow(i);
-          double vote = 0.0;
-          for (int k = 0; k < row.nnz; ++k) {
-            vote += row.labels[k] == 1 ? 1.0 : -1.0;
-          }
-          mv_spin[i] = vote > 0.0 ? 1.0 : (vote < 0.0 ? -1.0 : 0.0);
-          for (int a = 0; a < row.nnz; ++a) {
-            const double sa = row.labels[a] == 1 ? 1.0 : -1.0;
-            const int ja = row.cols[a];
-            for (int b = a + 1; b < row.nnz; ++b) {
-              const double sb = row.labels[b] == 1 ? 1.0 : -1.0;
-              psum(ja, row.cols[b]) += sa * sb;
-              pcount(ja, row.cols[b]) += 1.0;
-            }
-          }
-        }
-      }));
-  Matrix pair_sum(m, m);
-  Matrix pair_count(m, m);
-  for (int c = 0; c < chunks; ++c) {
-    pair_sum.AddInPlace(pair_sum_part[c]);
-    pair_count.AddInPlace(pair_count_part[c]);
-  }
-  pair_sum_part.clear();
-  pair_count_part.clear();
-
+  // Pairwise moments come from the matrix's pair-moment store, which is
+  // maintained as LF columns are appended (and inherited by SelectColumns),
+  // so a fit does no pairwise pass of its own. Read it before the parallel
+  // region: a first request builds it.
+  const SpinPairMoments& moments = matrix.PairMoments();
   auto moment = [&](int i, int j, double* out) {
-    const int a = std::min(i, j), b = std::max(i, j);
-    if (pair_count(a, b) < options_.min_pair_count) return false;
-    *out = pair_sum(a, b) / pair_count(a, b);
+    const int count = moments.Count(i, j);
+    if (count < options_.min_pair_count) return false;
+    *out = static_cast<double>(moments.Sum(i, j)) / count;
     return true;
   };
 
-  // Class balance from majority vote.
-  double pos = 1.0, total = 2.0;  // Laplace smoothing
-  for (int i = 0; i < n; ++i) {
-    if (mv_spin[i] == 0.0) continue;
-    total += 1.0;
-    if (mv_spin[i] > 0.0) pos += 1.0;
-  }
-  positive_prior_ = pos / total;
-
-  // Agreement-with-majority-vote fallback accuracies, row-driven off the
-  // CSR view (O(nnz) instead of O(n m)). Per-chunk partial sums are
-  // combined in chunk order; every term is ±1 or a count, so the sums are
-  // exact integers and equal the per-column scan's bitwise.
-  std::vector<double> fallback(m, 0.5);
-  std::vector<std::vector<double>> agree_part(chunks), count_part(chunks);
+  // One row-driven pass off the CSR view (O(nnz)): each row's majority-vote
+  // spin, the class balance it implies, and the agreement-with-majority-vote
+  // fallback accuracies. Every term is ±1 or a count, so the pass sums
+  // integers, per chunk and then in chunk order: the result is exact and
+  // bitwise identical at any thread count.
+  const int grain = BoundedGrain(n, 1024, 32);
+  const int chunks = NumChunks(n, grain);
+  std::vector<std::vector<int32_t>> agree_part(chunks), count_part(chunks);
+  std::vector<int32_t> pos_part(chunks, 0), voted_part(chunks, 0);
   RETURN_IF_ERROR(ParallelForChunks(
       ComputePool(), n, grain, options_.limits, "metal.fit",
       [&](int chunk, int begin, int end) {
-        std::vector<double>& agree = agree_part[chunk];
-        std::vector<double>& count = count_part[chunk];
-        agree.assign(m, 0.0);
-        count.assign(m, 0.0);
+        std::vector<int32_t>& agree = agree_part[chunk];
+        std::vector<int32_t>& count = count_part[chunk];
+        agree.assign(m, 0);
+        count.assign(m, 0);
         for (int i = begin; i < end; ++i) {
-          if (mv_spin[i] == 0.0) continue;
           const ActiveRowView row = matrix.ActiveRow(i);
+          int vote = 0;
+          for (int k = 0; k < row.nnz; ++k) vote += row.labels[k] == 1 ? 1 : -1;
+          if (vote == 0) continue;
+          const int mv_spin = vote > 0 ? 1 : -1;
+          ++voted_part[chunk];
+          if (mv_spin > 0) ++pos_part[chunk];
           for (int k = 0; k < row.nnz; ++k) {
-            const double s = row.labels[k] == 1 ? 1.0 : -1.0;
-            count[row.cols[k]] += 1.0;
-            agree[row.cols[k]] += s * mv_spin[i];
+            ++count[row.cols[k]];
+            agree[row.cols[k]] += row.labels[k] == 1 ? mv_spin : -mv_spin;
           }
         }
       }));
+  // Class balance from majority vote, Laplace-smoothed.
+  double pos = 1.0, total = 2.0;
+  std::vector<double> fallback(m, 0.5);
   {
-    std::vector<double> agree(m, 0.0), count(m, 0.0);
+    std::vector<int64_t> agree(m, 0), count(m, 0);
     for (int c = 0; c < chunks; ++c) {
+      pos += pos_part[c];
+      total += voted_part[c];
       for (int j = 0; j < m; ++j) {
         agree[j] += agree_part[c][j];
         count[j] += count_part[c][j];
       }
     }
     for (int j = 0; j < m; ++j) {
-      fallback[j] = count[j] > 0.0 ? agree[j] / count[j] : 0.5;
+      if (count[j] > 0) {
+        fallback[j] = static_cast<double>(agree[j]) / count[j];
+      }
     }
   }
+  positive_prior_ = pos / total;
 
   Rng rng(options_.seed);
   accuracies_.assign(m, 0.0);
@@ -194,10 +157,11 @@ Status MetalModel::Fit(const LabelMatrix& matrix, int num_classes) {
   if (!report_.finite) {
     TraceInstant("convergence", "metal.fit",
                  "non-finite accuracy parameters");
-    num_lfs_ = 0;  // refuse predictions from a poisoned fit
     return Status::Internal(
         "metal fit produced non-finite accuracy parameters");
   }
+  log_odds_ = MakeSpinLogOdds(accuracies_, positive_prior_);
+  num_lfs_ = m;
   return Status::Ok();
 }
 
@@ -253,8 +217,10 @@ Result<std::string> MetalModel::SerializeParams() const {
 }
 
 Status MetalModel::RestoreParams(const std::string& params) {
-  return DecodeSpinAccuracyParams(name(), params, &num_lfs_,
-                                  &positive_prior_, &accuracies_);
+  RETURN_IF_ERROR(DecodeSpinAccuracyParams(name(), params, &num_lfs_,
+                                           &positive_prior_, &accuracies_));
+  log_odds_ = MakeSpinLogOdds(accuracies_, positive_prior_);
+  return Status::Ok();
 }
 
 Result<std::vector<double>> MetalModel::PredictProba(
@@ -266,8 +232,7 @@ Result<std::vector<double>> MetalModel::PredictProba(
         "weak-label row has " + std::to_string(weak_labels.size()) +
         " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
   }
-  std::vector<double> proba =
-      SpinNaiveBayesProba(accuracies_, positive_prior_, weak_labels);
+  std::vector<double> proba = SpinNaiveBayesProba(log_odds_, weak_labels);
   if (!IsProbabilityVector(proba)) {
     return Status::Internal("metal prediction is not a valid distribution");
   }
@@ -283,8 +248,7 @@ Result<std::vector<double>> MetalModel::PredictProbaSparse(
         "weak-label row has " + std::to_string(num_cols) +
         " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
   }
-  std::vector<double> proba =
-      SpinNaiveBayesProbaSparse(accuracies_, positive_prior_, row);
+  std::vector<double> proba = SpinNaiveBayesProbaSparse(log_odds_, row);
   if (!IsProbabilityVector(proba)) {
     return Status::Internal("metal prediction is not a valid distribution");
   }

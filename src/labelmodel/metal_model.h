@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "labelmodel/label_model.h"
+#include "labelmodel/spin_utils.h"
 #include "util/convergence.h"
 #include "util/deadline.h"
 
@@ -65,6 +66,7 @@ class MetalModel : public LabelModel {
   std::vector<double> accuracies_;
   double positive_prior_ = 0.5;
   int num_lfs_ = 0;
+  SpinLogOdds log_odds_;
   ConvergenceReport report_;
 };
 

@@ -7,34 +7,49 @@
 
 namespace activedp {
 
-std::vector<double> SpinNaiveBayesProba(const std::vector<double>& accuracies,
-                                        double positive_prior,
-                                        const std::vector<int>& weak_labels) {
-  CHECK_EQ(accuracies.size(), weak_labels.size());
+SpinLogOdds MakeSpinLogOdds(const std::vector<double>& accuracies,
+                            double positive_prior) {
+  SpinLogOdds out;
   const double prior = std::clamp(positive_prior, 1e-6, 1.0 - 1e-6);
-  double log_odds = std::log(prior / (1.0 - prior));
-  for (size_t j = 0; j < weak_labels.size(); ++j) {
-    const double s = ToSpin(weak_labels[j]);
-    if (s == 0.0) continue;
+  out.prior = std::log(prior / (1.0 - prior));
+  out.terms.resize(2 * accuracies.size());
+  for (size_t j = 0; j < accuracies.size(); ++j) {
     const double a = std::clamp(accuracies[j], -0.999, 0.999);
-    log_odds += std::log((1.0 + a * s) / (1.0 - a * s));
+    for (const double s : {-1.0, 1.0}) {
+      out.terms[2 * j + (s > 0.0)] = std::log((1.0 + a * s) / (1.0 - a * s));
+    }
   }
+  return out;
+}
+
+namespace {
+
+std::vector<double> ProbaFromLogOdds(double log_odds) {
   const double p1 = 1.0 / (1.0 + std::exp(-log_odds));
   return {1.0 - p1, p1};
 }
 
-std::vector<double> SpinNaiveBayesProbaSparse(
-    const std::vector<double>& accuracies, double positive_prior,
-    const ActiveRowView& row) {
-  const double prior = std::clamp(positive_prior, 1e-6, 1.0 - 1e-6);
-  double log_odds = std::log(prior / (1.0 - prior));
-  for (int k = 0; k < row.nnz; ++k) {
-    const double s = row.labels[k] == 1 ? 1.0 : -1.0;
-    const double a = std::clamp(accuracies[row.cols[k]], -0.999, 0.999);
-    log_odds += std::log((1.0 + a * s) / (1.0 - a * s));
+}  // namespace
+
+std::vector<double> SpinNaiveBayesProba(const SpinLogOdds& log_odds,
+                                        const std::vector<int>& weak_labels) {
+  CHECK_EQ(log_odds.terms.size(), 2 * weak_labels.size());
+  double sum = log_odds.prior;
+  for (size_t j = 0; j < weak_labels.size(); ++j) {
+    if (weak_labels[j] == kAbstain) continue;
+    sum += log_odds.terms[2 * j + (weak_labels[j] == 1)];
   }
-  const double p1 = 1.0 / (1.0 + std::exp(-log_odds));
-  return {1.0 - p1, p1};
+  return ProbaFromLogOdds(sum);
+}
+
+std::vector<double> SpinNaiveBayesProbaSparse(const SpinLogOdds& log_odds,
+                                              const ActiveRowView& row) {
+  double sum = log_odds.prior;
+  for (int k = 0; k < row.nnz; ++k) {
+    sum += log_odds.terms[2 * static_cast<size_t>(row.cols[k]) +
+                          (row.labels[k] == 1)];
+  }
+  return ProbaFromLogOdds(sum);
 }
 
 }  // namespace activedp

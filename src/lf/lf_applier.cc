@@ -1,5 +1,7 @@
 #include "lf/lf_applier.h"
 
+#include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <utility>
 
@@ -9,38 +11,106 @@
 
 namespace activedp {
 
+namespace {
+
+int Spin(int8_t label) { return label == 1 ? 1 : -1; }
+
+}  // namespace
+
 void LabelMatrix::AddColumn(std::vector<int8_t> column) {
   CHECK_EQ(static_cast<int>(column.size()), num_rows_);
+  std::vector<int32_t> fires;  // rows the column fires on, ascending
   for (int i = 0; i < num_rows_; ++i) {
-    if (column[i] != kAbstain) ++active_count_[i];
+    if (column[i] == kAbstain) continue;
+    ++active_count_[i];
+    fires.push_back(i);
   }
-  columns_.push_back(std::move(column));
-  rows_built_ = false;
+  // The moment update reads the rows' earlier entries, so it runs before
+  // the merge adds the new one.
+  if (moments_.has_value()) AddColumnMoments(column, fires);
+  if (rows_built_) MergeColumnIntoRows(column, fires);
+  columns_.push_back(
+      std::make_shared<std::vector<int8_t>>(std::move(column)));
+}
+
+void LabelMatrix::AddColumnMoments(const std::vector<int8_t>& column,
+                                   const std::vector<int32_t>& fires) const {
+  SpinPairMoments& moments = *moments_;
+  const int c = num_cols();
+  const size_t run = moments.sum_.size();
+  moments.sum_.resize(run + c, 0);
+  moments.count_.resize(run + c, 0);
+  int32_t* sum = moments.sum_.data() + run;
+  int32_t* count = moments.count_.data() + run;
+  for (const int32_t i : fires) {
+    const int s = Spin(column[i]);
+    const ActiveRowView row = ActiveRow(i);
+    for (int k = 0; k < row.nnz; ++k) {
+      sum[row.cols[k]] += Spin(row.labels[k]) * s;
+      ++count[row.cols[k]];
+    }
+  }
+  moments.active_.push_back(static_cast<int32_t>(fires.size()));
+}
+
+void LabelMatrix::MergeColumnIntoRows(const std::vector<int8_t>& column,
+                                      const std::vector<int32_t>& fires) const {
+  const int32_t col = num_cols();
+  const int64_t added = static_cast<int64_t>(fires.size());
+  row_cols_.resize(row_cols_.size() + added);
+  row_labels_.resize(row_labels_.size() + added);
+  // Back to front over the rows the column fires on. `shift` counts those
+  // rows up to and including row f: every entry after row f's old end, up
+  // to the previous firing row's, moves right by `shift` in one memmove,
+  // and so do the row boundaries in between. Rows before the first firing
+  // row keep their place.
+  int64_t shift = added;
+  int64_t run_end = row_ptr_[num_rows_];  // old end of the run to move
+  int bound_end = num_rows_;              // last boundary of the run
+  for (int64_t k = added - 1; k >= 0; --k) {
+    const int f = fires[k];
+    const int64_t end = row_ptr_[f + 1];
+    for (int p = f + 1; p <= bound_end; ++p) row_ptr_[p] += shift;
+    std::memmove(row_cols_.data() + end + shift, row_cols_.data() + end,
+                 (run_end - end) * sizeof(int32_t));
+    std::memmove(row_labels_.data() + end + shift, row_labels_.data() + end,
+                 run_end - end);
+    --shift;
+    row_cols_[end + shift] = col;
+    row_labels_[end + shift] = column[f];
+    run_end = end;
+    bound_end = f;
+  }
 }
 
 void LabelMatrix::Set(int row, int col, int value) {
-  const int8_t old = columns_[col][row];
+  std::shared_ptr<std::vector<int8_t>>& column = columns_[col];
+  if (column.use_count() > 1) {
+    column = std::make_shared<std::vector<int8_t>>(*column);
+  }
+  const int8_t old = (*column)[row];
   if (old != kAbstain) --active_count_[row];
   if (value != kAbstain) ++active_count_[row];
-  columns_[col][row] = static_cast<int8_t>(value);
+  (*column)[row] = static_cast<int8_t>(value);
   rows_built_ = false;
+  moments_.reset();
 }
 
 std::vector<int> LabelMatrix::Row(int row) const {
   std::vector<int> out(columns_.size());
-  for (size_t j = 0; j < columns_.size(); ++j) out[j] = columns_[j][row];
+  for (size_t j = 0; j < columns_.size(); ++j) out[j] = (*columns_[j])[row];
   return out;
 }
 
 std::vector<int> LabelMatrix::Row(int row, const std::vector<int>& cols) const {
   std::vector<int> out(cols.size());
-  for (size_t j = 0; j < cols.size(); ++j) out[j] = columns_[cols[j]][row];
+  for (size_t j = 0; j < cols.size(); ++j) out[j] = (*columns_[cols[j]])[row];
   return out;
 }
 
 bool LabelMatrix::AnyActive(int row, const std::vector<int>& cols) const {
   for (int j : cols) {
-    if (columns_[j][row] != kAbstain) return true;
+    if ((*columns_[j])[row] != kAbstain) return true;
   }
   return false;
 }
@@ -60,7 +130,7 @@ void LabelMatrix::EnsureRows() const {
   // in ascending column order because columns are visited in order.
   std::vector<int64_t> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
   for (size_t j = 0; j < columns_.size(); ++j) {
-    const std::vector<int8_t>& col = columns_[j];
+    const std::vector<int8_t>& col = *columns_[j];
     for (int i = 0; i < num_rows_; ++i) {
       if (col[i] == kAbstain) continue;
       row_cols_[cursor[i]] = static_cast<int32_t>(j);
@@ -81,6 +151,30 @@ ActiveRowView LabelMatrix::ActiveRow(int row) const {
   return view;
 }
 
+const SpinPairMoments& LabelMatrix::PairMoments() const {
+  if (moments_.has_value()) return *moments_;
+  EnsureRows();
+  const int m = num_cols();
+  SpinPairMoments& moments = moments_.emplace();
+  moments.sum_.assign(SpinPairMoments::Index(m, 0), 0);
+  moments.count_.assign(moments.sum_.size(), 0);
+  moments.active_.assign(m, 0);
+  for (int i = 0; i < num_rows_; ++i) {
+    const ActiveRowView row = ActiveRow(i);
+    for (int b = 0; b < row.nnz; ++b) {
+      const int sb = Spin(row.labels[b]);
+      ++moments.active_[row.cols[b]];
+      // The row's earlier columns a < b: one run of the packed triangle.
+      const size_t run = SpinPairMoments::Index(row.cols[b], 0);
+      for (int a = 0; a < b; ++a) {
+        moments.sum_[run + row.cols[a]] += Spin(row.labels[a]) * sb;
+        ++moments.count_[run + row.cols[a]];
+      }
+    }
+  }
+  return moments;
+}
+
 CsrMatrix LabelMatrix::SpinCsr() const {
   EnsureRows();
   CsrMatrix out(num_rows_, num_cols());
@@ -98,26 +192,115 @@ CsrMatrix LabelMatrix::SpinCsr() const {
 }
 
 LabelMatrix LabelMatrix::SelectColumns(const std::vector<int>& cols) const {
+  const int k = static_cast<int>(cols.size());
+  // Child positions of each parent column as a linked list (head/next), so
+  // a column selected twice lands at both positions.
+  std::vector<int32_t> head(num_cols(), -1), next(k, -1);
+  bool ascending = true;
+  for (int c = k - 1; c >= 0; --c) {
+    CHECK_GE(cols[c], 0);
+    CHECK_LT(cols[c], num_cols());
+    next[c] = head[cols[c]];
+    head[cols[c]] = c;
+    if (c + 1 < k && cols[c] >= cols[c + 1]) ascending = false;
+  }
+  const SpinPairMoments& moments = PairMoments();  // also builds the rows
+  // Every column in order: the child is a copy, caches included.
+  if (ascending && k == num_cols()) return *this;
+
   LabelMatrix out(num_rows_);
-  for (int j : cols) {
-    CHECK_GE(j, 0);
-    CHECK_LT(j, num_cols());
-    out.AddColumn(columns_[j]);
+  out.columns_.reserve(k);
+  for (int j : cols) out.columns_.push_back(columns_[j]);
+
+  // Row view: count, then fill. An ascending selection maps each row's
+  // ascending parent columns to ascending child positions; otherwise each
+  // row's entries are sorted by position afterwards.
+  out.row_ptr_.resize(num_rows_ + 1);
+  int64_t total = 0;
+  for (int i = 0; i < num_rows_; ++i) {
+    out.row_ptr_[i] = total;
+    const ActiveRowView row = ActiveRow(i);
+    int32_t count = 0;
+    for (int e = 0; e < row.nnz; ++e) {
+      for (int32_t c = head[row.cols[e]]; c >= 0; c = next[c]) ++count;
+    }
+    out.active_count_[i] = count;
+    total += count;
+  }
+  out.row_ptr_[num_rows_] = total;
+  out.row_cols_.resize(total);
+  out.row_labels_.resize(total);
+  for (int i = 0; i < num_rows_; ++i) {
+    const int64_t begin = out.row_ptr_[i];
+    const int64_t end = out.row_ptr_[i + 1];
+    if (begin == end) continue;
+    const ActiveRowView row = ActiveRow(i);
+    int64_t f = begin;
+    for (int e = 0; e < row.nnz; ++e) {
+      for (int32_t c = head[row.cols[e]]; c >= 0; c = next[c]) {
+        out.row_cols_[f] = c;
+        out.row_labels_[f++] = row.labels[e];
+      }
+    }
+    if (ascending) continue;
+    // Insertion sort of the row's (position, label) pairs by position.
+    for (int64_t e = begin + 1; e < end; ++e) {
+      const int32_t c = out.row_cols_[e];
+      const int8_t label = out.row_labels_[e];
+      for (f = e; f > begin && out.row_cols_[f - 1] > c; --f) {
+        out.row_cols_[f] = out.row_cols_[f - 1];
+        out.row_labels_[f] = out.row_labels_[f - 1];
+      }
+      out.row_cols_[f] = c;
+      out.row_labels_[f] = label;
+    }
+  }
+  out.rows_built_ = true;
+
+  SpinPairMoments& child = out.moments_.emplace();
+  child.sum_.reserve(SpinPairMoments::Index(k, 0));
+  child.count_.reserve(child.sum_.capacity());
+  for (int a = 0; a < k; ++a) {
+    child.active_.push_back(moments.Active(cols[a]));
+    for (int b = 0; b < a; ++b) {
+      child.sum_.push_back(moments.Sum(cols[a], cols[b]));
+      child.count_.push_back(moments.Count(cols[a], cols[b]));
+    }
   }
   return out;
 }
 
 LabelMatrix LabelMatrix::SelectRows(const std::vector<int>& rows) const {
-  LabelMatrix out(static_cast<int>(rows.size()));
-  for (const auto& col : columns_) {
-    std::vector<int8_t> selected(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      CHECK_GE(rows[i], 0);
-      CHECK_LT(rows[i], num_rows_);
-      selected[i] = col[rows[i]];
-    }
-    out.AddColumn(std::move(selected));
+  EnsureRows();
+  const int k = static_cast<int>(rows.size());
+  LabelMatrix out(k);
+  out.row_ptr_.resize(k + 1);
+  int64_t total = 0;
+  for (int i = 0; i < k; ++i) {
+    CHECK_GE(rows[i], 0);
+    CHECK_LT(rows[i], num_rows_);
+    out.row_ptr_[i] = total;
+    out.active_count_[i] = active_count_[rows[i]];
+    total += active_count_[rows[i]];
   }
+  out.row_ptr_[k] = total;
+  out.row_cols_.resize(total);
+  out.row_labels_.resize(total);
+  for (int j = 0; j < num_cols(); ++j) {
+    out.columns_.push_back(std::make_shared<std::vector<int8_t>>(
+        k, static_cast<int8_t>(kAbstain)));
+  }
+  for (int i = 0; i < k; ++i) {
+    const ActiveRowView row = ActiveRow(rows[i]);
+    std::copy(row.cols, row.cols + row.nnz,
+              out.row_cols_.begin() + out.row_ptr_[i]);
+    std::copy(row.labels, row.labels + row.nnz,
+              out.row_labels_.begin() + out.row_ptr_[i]);
+    for (int e = 0; e < row.nnz; ++e) {
+      (*out.columns_[row.cols[e]])[i] = row.labels[e];
+    }
+  }
+  out.rows_built_ = true;
   return out;
 }
 

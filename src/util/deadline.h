@@ -138,6 +138,14 @@ struct RunLimits {
   }
 };
 
+/// True for the two codes a tripped RunLimits surfaces as. A budget trip is
+/// a decision, not a failure: callers propagate it instead of retrying or
+/// degrading (DESIGN.md §7).
+inline bool IsBudgetTrip(const Status& status) {
+  return status.code() == StatusCode::kDeadlineExceeded ||
+         status.code() == StatusCode::kCancelled;
+}
+
 /// Sleeps up to `seconds`, waking early (returning false) when the token is
 /// cancelled. Used by retry backoff so a cancelled run never sits out a
 /// backoff window.

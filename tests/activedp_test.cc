@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 
 #include "core/end_model.h"
 #include "core/experiment.h"
 #include "data/dataset_zoo.h"
 #include "math/vector_ops.h"
+#include "util/deadline.h"
+#include "util/trace.h"
 
 namespace activedp {
 namespace {
@@ -212,6 +216,94 @@ TEST_F(ActiveDpIntegrationTest, EndToEndBeatsChanceOnTest) {
   EXPECT_GT(EvaluateAccuracy(*end_model, context_.test_features,
                              context_.test_labels),
             0.7);
+}
+
+/// Cancels `source` at the first span end `should_cancel` accepts while the
+/// sink is installed (DESIGN.md §7's "a budget trip is a decision": the
+/// pipeline must return it, not degrade on it).
+class CancelOnSpanEnd : public TraceSink {
+ public:
+  CancelOnSpanEnd(CancellationSource* source,
+                  std::function<bool(std::string_view)> should_cancel)
+      : source_(source), should_cancel_(std::move(should_cancel)) {
+    SetTraceSink(this);
+  }
+  ~CancelOnSpanEnd() override { SetTraceSink(nullptr); }
+
+  void OnInstant(std::string_view, std::string_view,
+                 std::string_view) override {}
+  void OnSpanEnd(std::string_view stage, int64_t, int64_t) override {
+    if (fired_) ended_after_cancel_.emplace_back(stage);
+    if (!fired_ && should_cancel_(stage)) {
+      source_->Cancel();
+      fired_ = true;
+    }
+  }
+  bool fired() const { return fired_; }
+  bool EndedAfterCancel(std::string_view stage) const {
+    for (const std::string& s : ended_after_cancel_) {
+      if (s == stage) return true;
+    }
+    return false;
+  }
+
+ private:
+  CancellationSource* source_;
+  std::function<bool(std::string_view)> should_cancel_;
+  bool fired_ = false;
+  std::vector<std::string> ended_after_cancel_;
+};
+
+TEST_F(ActiveDpIntegrationTest, BudgetTripInsideStepIsReturnedNotDegraded) {
+  CancellationSource source;
+  ActiveDpOptions options;
+  options.seed = 3;
+  options.policy.limits.cancel = source.token();
+  ActiveDp pipeline(context_, options);
+  for (int t = 0; t < 12; ++t) ASSERT_TRUE(pipeline.Step().ok());
+  ASSERT_TRUE(pipeline.has_al_model());
+
+  // Cancel as soon as the next LF has been applied: both retrains still
+  // have to run, and each one's fit must hand the trip back.
+  CancelOnSpanEnd sink(&source, [](std::string_view stage) {
+    return stage == "lf.apply";
+  });
+  Status status = Status::Ok();
+  for (int t = 0; t < 20 && !sink.fired(); ++t) status = pipeline.Step();
+  ASSERT_TRUE(sink.fired());
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  EXPECT_TRUE(pipeline.recovery().empty());
+  EXPECT_TRUE(pipeline.retry_log().empty());
+  EXPECT_EQ(pipeline.Step().code(), StatusCode::kCancelled);
+}
+
+TEST_F(ActiveDpIntegrationTest, LabelPickGuardFitHonorsPipelineBudget) {
+  CancellationSource source;
+  ActiveDpOptions options;
+  options.seed = 3;
+  options.policy.limits.cancel = source.token();
+  ActiveDp pipeline(context_, options);
+
+  // LabelPick's holdout guard fits run inside the label_pick span; the main
+  // fit runs after it. Cancel when the first guard fit of a step ends: the
+  // second guard fit must notice, so the main fit never starts.
+  bool in_label_pick = true;
+  CancelOnSpanEnd sink(&source, [&](std::string_view stage) {
+    if (stage == "label_pick") in_label_pick = false;
+    if (stage == "activedp.step") in_label_pick = true;
+    return stage == "metal.fit" && in_label_pick;
+  });
+  Status status = Status::Ok();
+  for (int t = 0; t < 80 && !sink.fired(); ++t) {
+    status = pipeline.Step();
+    if (!sink.fired()) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+  }
+  ASSERT_TRUE(sink.fired()) << "no step ran a LabelPick guard fit";
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  EXPECT_FALSE(sink.EndedAfterCancel("label_model.fit"));
+  EXPECT_TRUE(pipeline.recovery().empty());
 }
 
 }  // namespace

@@ -99,9 +99,10 @@ TEST_P(SeededPropertyTest, SpinNaiveBayesClassSymmetry) {
     flipped[j] = v == kAbstain ? kAbstain : 1 - v;
   }
   const double prior = rng.Uniform(0.05, 0.95);
-  const std::vector<double> p = SpinNaiveBayesProba(accuracies, prior, votes);
+  const std::vector<double> p =
+      SpinNaiveBayesProba(MakeSpinLogOdds(accuracies, prior), votes);
   const std::vector<double> q =
-      SpinNaiveBayesProba(accuracies, 1.0 - prior, flipped);
+      SpinNaiveBayesProba(MakeSpinLogOdds(accuracies, 1.0 - prior), flipped);
   EXPECT_NEAR(p[1], q[0], 1e-9);
   EXPECT_NEAR(p[0], q[1], 1e-9);
 }
