@@ -5,7 +5,7 @@
 // throughput, p50/p95/p99 latency and the observed micro-batch-size
 // histogram to a JSON report (BENCH_serving.json).
 //
-// Determinism is asserted unconditionally, mirroring perf_bench: every
+// Determinism is asserted unconditionally: every
 // served prediction is digested (FNV-1a over raw double bit patterns) and
 // compared against the offline ConFusion aggregation, sweeping batch sizes
 // and compute-pool thread counts, plus a hot-swap-under-load pass where

@@ -8,34 +8,21 @@
 #      batch-scoped pool, the chunked reductions, the label matrix's lazily
 #      built row view and pair-moment store (read by parallel label-model
 #      fits), and the tracer / metrics / retry-log write paths race-free
-#   5. a tier-1 build + ctest with -DACTIVEDP_SIMD=OFF, which certifies the
-#      scalar kernel fallback (the SIMD translation units compiled out)
-#      produces the same green suite — the other half of the kernels'
-#      bitwise-interchangeability contract
-#   6. the pipeline perf benchmark at smoke size (ctest -L perf), which
-#      asserts bitwise determinism across compute-pool thread counts, SIMD
-#      levels and repeats, and writes BENCH_pipeline.json; each run is
-#      archived to bench-archive/ and the serial stage times + end-to-end
-#      are compared against the previous archive — the gate FAILS when any
-#      stage regresses more than ACTIVEDP_PERF_REGRESSION_PCT percent
-#      (default 15) unless both samples are below the
-#      ACTIVEDP_PERF_MIN_SECONDS noise floor (default 0.005s); the
-#      comparison is archived as a regression report next to the JSON
-#   7. the serving suite (ctest -L serve: snapshot export/IO round-trips,
+#   5. the serving suite (ctest -L serve: snapshot export/IO round-trips,
 #      the batched prediction service, and the serve_bench smoke run, whose
 #      determinism gate asserts served == offline bitwise across batch
 #      sizes, thread counts and a mid-load hot swap; BENCH_serving.json is
 #      archived to bench-archive/)
-#   8. the pipeline chaos matrix (bench/chaos_matrix --matrix=pipeline:
+#   6. the pipeline chaos matrix (bench/chaos_matrix --matrix=pipeline:
 #      fault sites x kinds x seeds through the offline pipeline, with fault
 #      accounting and resumability checks; BENCH_chaos_pipeline.json is
 #      archived to bench-archive/)
-#   9. the serving chaos gate (bench/chaos_matrix --matrix=serve: the full
+#   7. the serving chaos gate (bench/chaos_matrix --matrix=serve: the full
 #      serve.* fault matrix — every injected fault cleanly rejected or
 #      auto-recovered, zero served-digest divergence on the surviving path,
 #      the rollback visible in the RunTrace timeline; BENCH_serve_chaos.json
 #      is archived to bench-archive/)
-#  10. the continuous-learning gate (bench/chaos_matrix --matrix=learn: the
+#   8. the continuous-learning gate (bench/chaos_matrix --matrix=learn: the
 #      LearnGuard fault matrix — every injected fault ends in a clean
 #      rejection, quarantine or auto-rollback, and the loop keeps publishing
 #      once the fault clears; then bench/continuous_bench: live traffic + drifting
@@ -43,7 +30,7 @@
 #      holdout accuracy, zero failed client requests and zero served-digest
 #      divergence; BENCH_learn_chaos.json and BENCH_online.json are
 #      archived to bench-archive/)
-#  11. the OpsPlane gate (ctest -L obs: flight-recorder ring/dump/verify and
+#   9. the OpsPlane gate (ctest -L obs: flight-recorder ring/dump/verify and
 #      SLO burn-rate engine tests; then the serve and learn chaos matrices,
 #      whose per-cell incident checks require exactly one verified,
 #      checksummed dump per breaker-trip/rollback trigger, only verified
@@ -51,7 +38,7 @@
 #      serve_bench run that must produce zero dumps with every SLO met — its
 #      SLO status JSON and Prometheus exposition are archived to
 #      bench-archive/)
-#  12. the TenantMesh gate (tests/shard_router_test: consistent-hash
+#  10. the TenantMesh gate (tests/shard_router_test: consistent-hash
 #      stability, tenant isolation under one-tenant overload, per-tenant
 #      rollout promote/rollback; then the serve_mt_storm smoke run: the
 #      open-loop multi-tenant storm with its per-tenant served==offline
@@ -59,22 +46,21 @@
 #      mid-storm rollout assertions; BENCH_serving_mt.json is archived to
 #      bench-archive/)
 #
-# Usage: scripts/verify.sh [--skip-asan] [--skip-tsan] [--skip-simd]
-#                          [--skip-perf] [--skip-chaos] [--skip-trace]
-#                          [--skip-serve] [--skip-serve-chaos] [--skip-learn]
-#                          [--skip-obs] [--skip-mt] [--only <gate>]
-# --only runs a single gate (tier1, trace, asan, tsan, simd, perf, serve,
-# chaos, serve-chaos, learn, obs, mt) after the shared tier-1 build,
-# skipping everything else. Runs from any directory; build trees live next
-# to the sources as build/, build-asan/, build-tsan/ and build-nosimd/.
+# Usage: scripts/verify.sh [--skip-asan] [--skip-tsan] [--skip-chaos]
+#                          [--skip-trace] [--skip-serve] [--skip-serve-chaos]
+#                          [--skip-learn] [--skip-obs] [--skip-mt]
+#                          [--only <gate>]
+# --only runs a single gate (tier1, trace, asan, tsan, serve, chaos,
+# serve-chaos, learn, obs, mt) after the shared tier-1 build, skipping
+# everything else. Runs from any directory; build trees live next to the
+# sources as build/, build-asan/ and build-tsan/. Performance is measured
+# separately by perfbench/ (see BENCHMARK.json).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 SKIP_ASAN=0
 SKIP_TSAN=0
-SKIP_SIMD=0
-SKIP_PERF=0
 SKIP_CHAOS=0
 SKIP_TRACE=0
 SKIP_SERVE=0
@@ -93,8 +79,6 @@ for arg in "$@"; do
   case "$arg" in
     --skip-asan) SKIP_ASAN=1 ;;
     --skip-tsan) SKIP_TSAN=1 ;;
-    --skip-simd) SKIP_SIMD=1 ;;
-    --skip-perf) SKIP_PERF=1 ;;
     --skip-chaos) SKIP_CHAOS=1 ;;
     --skip-trace) SKIP_TRACE=1 ;;
     --skip-serve) SKIP_SERVE=1 ;;
@@ -111,7 +95,7 @@ if [[ "$EXPECT_ONLY" -eq 1 ]]; then
   echo "--only requires a gate name" >&2; exit 2
 fi
 case "$ONLY" in
-  ""|tier1|trace|asan|tsan|simd|perf|serve|chaos|serve-chaos|learn|obs|mt) ;;
+  ""|tier1|trace|asan|tsan|serve|chaos|serve-chaos|learn|obs|mt) ;;
   *) echo "unknown gate for --only: $ONLY" >&2; exit 2 ;;
 esac
 
@@ -119,25 +103,6 @@ esac
 # no --only was given and its --skip flag is unset ($2).
 gate_enabled() {
   if [[ -n "$ONLY" ]]; then [[ "$ONLY" == "$1" ]]; else [[ "$2" -eq 0 ]]; fi
-}
-
-# Prints "stage seconds" pairs (plus an "end_to_end" pseudo-stage) for the
-# serial (first) run row of a BENCH_pipeline.json report.
-stage_times() {
-  grep -m1 '"stages"' "$1" \
-    | grep -oE '"[a-z_]+": \{"seconds": [0-9.eE+-]+' \
-    | sed -E 's/"([a-z_]+)": \{"seconds": ([0-9.eE+-]+)/\1 \2/'
-  grep -m1 '"end_to_end_seconds"' "$1" \
-    | grep -oE '"end_to_end_seconds": [0-9.eE+-]+' \
-    | sed -E 's/"end_to_end_seconds": ([0-9.eE+-]+)/end_to_end \1/'
-}
-
-# Prints "stage digest" pairs for the serial run row (the cross-pass digest
-# gate inside perf_bench already asserts all rows agree).
-stage_digests() {
-  grep -m1 '"stages"' "$1" \
-    | grep -oE '"[a-z_]+": \{"seconds": [0-9.eE+-]+, "digest": "0x[0-9a-f]+"' \
-    | sed -E 's/"([a-z_]+)": .*"digest": "(0x[0-9a-f]+)"/\1 \2/'
 }
 
 echo "== tier 1: build =="
@@ -171,78 +136,6 @@ if gate_enabled tsan "$SKIP_TSAN"; then
              activedp_incremental_test
   ctest --test-dir build-tsan --output-on-failure \
     -R "thread_pool_test|determinism_test|trace_test|util_metrics_test|logging_test|retry_test|serve_test|snapshot_test|registry_test|rollout_test|shard_router_test|event_log_test|retrainer_test|obs_test|label_model_test|sparse_kernels_test|label_matrix_test|activedp_incremental_test"
-fi
-
-if gate_enabled simd "$SKIP_SIMD"; then
-  echo "== tier 1 with -DACTIVEDP_SIMD=OFF (scalar kernels only) =="
-  cmake -B build-nosimd -S . -DACTIVEDP_SIMD=OFF >/dev/null
-  cmake --build build-nosimd -j "$JOBS"
-  ctest --test-dir build-nosimd -L tier1 --output-on-failure -j "$JOBS"
-fi
-
-if gate_enabled perf "$SKIP_PERF"; then
-  echo "== perf benchmark (smoke size, determinism + regression gates) =="
-  ctest --test-dir build -L perf --output-on-failure
-
-  # Archive the report (plus its trace summary and stage digests) and compare
-  # the serial stage times + end-to-end against the previous archived run.
-  # A stage more than ACTIVEDP_PERF_REGRESSION_PCT percent slower FAILS the
-  # gate, unless both samples sit under the ACTIVEDP_PERF_MIN_SECONDS noise
-  # floor; skipped entirely when no previous archive exists.
-  BENCH_JSON="build/bench/BENCH_pipeline.json"
-  if [[ -f "$BENCH_JSON" ]]; then
-    mkdir -p bench-archive
-    PREV="$(ls -1t bench-archive/BENCH_pipeline-????????-??????.json 2>/dev/null | head -1 || true)"
-    STAMP="$(date +%Y%m%d-%H%M%S)"
-    cp "$BENCH_JSON" "bench-archive/BENCH_pipeline-$STAMP.json"
-    # Benches route their trace exports to <cwd>/bench-archive (--trace-dir),
-    # which under ctest is build/bench/bench-archive/.
-    if [[ -f build/bench/bench-archive/BENCH_pipeline.trace.summary.json ]]; then
-      cp build/bench/bench-archive/BENCH_pipeline.trace.summary.json \
-         "bench-archive/BENCH_pipeline-$STAMP.trace.summary.json"
-    fi
-    echo "archived bench-archive/BENCH_pipeline-$STAMP.json"
-    if [[ -n "$PREV" ]]; then
-      PERF_PCT="${ACTIVEDP_PERF_REGRESSION_PCT:-15}"
-      PERF_FLOOR="${ACTIVEDP_PERF_MIN_SECONDS:-0.005}"
-      REGRESSION_REPORT="bench-archive/BENCH_pipeline-$STAMP.regression.txt"
-      echo "-- serial stage times vs $(basename "$PREV") (fail > +$PERF_PCT%) --"
-      set +e
-      {
-        awk -v pct="$PERF_PCT" -v floor="$PERF_FLOOR" '
-             NR==FNR { prev[$1] = $2; next }
-             ($1 in prev) && prev[$1] > 0 {
-               delta = ($2 / prev[$1] - 1.0) * 100.0;
-               flag = "";
-               if (delta > pct && ($2 >= floor || prev[$1] >= floor)) {
-                 flag = sprintf("  <-- REGRESSION (+%.1f%% > +%s%%)",
-                                delta, pct);
-                 failed = 1;
-               }
-               printf "  %-12s %9.4fs vs %9.4fs  %+7.1f%%%s\n",
-                      $1, $2, prev[$1], delta, flag;
-             }
-             END { exit failed ? 1 : 0 }' \
-             <(stage_times "$PREV") <(stage_times "$BENCH_JSON")
-        PERF_STATUS=$?
-        echo "-- serial stage digests --"
-        stage_digests "$BENCH_JSON" | sed 's/^/  /'
-        exit "$PERF_STATUS"
-      } | tee "$REGRESSION_REPORT"
-      PERF_STATUS=${PIPESTATUS[0]}
-      set -e
-      echo "archived $REGRESSION_REPORT"
-      if [[ "$PERF_STATUS" -ne 0 ]]; then
-        echo "FAIL: perf regression above ${PERF_PCT}% vs $(basename "$PREV")" >&2
-        echo "      (override threshold with ACTIVEDP_PERF_REGRESSION_PCT)" >&2
-        exit 1
-      fi
-    else
-      echo "note: no previous bench-archive run; regression gate skipped"
-    fi
-  else
-    echo "note: $BENCH_JSON not found; skipping archive" >&2
-  fi
 fi
 
 if gate_enabled serve "$SKIP_SERVE"; then

@@ -24,8 +24,7 @@ void SparseAxpy(double alpha, const SparseVector& x, std::vector<double>& w) {
 }
 
 void L2Normalize(SparseVector& x) {
-  // Canonical 4-lane self-dot + element-wise scale (math/kernels.h): the
-  // result is bitwise identical at every SIMD level.
+  // Canonical 4-lane self-dot + element-wise scale (math/kernels.h).
   const double ss =
       kernels::DotDense(x.values.data(), x.values.data(), x.nnz());
   if (ss <= 0.0) return;

@@ -139,7 +139,7 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   // dots plus diagonal corrections:
   //   sum_j K_ij z_j − K_ii z_i + z_i (z·z − z_i^2).
   // Both dots use the canonical 4-lane kernel, so each grad[i] is a fixed
-  // association independent of the thread count and SIMD level. Small
+  // association independent of the thread count. Small
   // systems stay serial: the launch would cost more than the sweep.
   ThreadPool* const gd_pool = m >= 64 ? ComputePool() : nullptr;
   const int gd_grain = BoundedGrain(m, 16, 64);

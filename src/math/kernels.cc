@@ -1,40 +1,14 @@
 #include "math/kernels.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-
-#include "util/string_util.h"
-
-#if defined(ACTIVEDP_SIMD_ENABLED) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define ACTIVEDP_SIMD_X86 1
-#include <emmintrin.h>  // SSE2
-#else
-#define ACTIVEDP_SIMD_X86 0
-#endif
 
 namespace activedp {
 namespace kernels {
 
-#if ACTIVEDP_SIMD_X86
-// AVX2 variants live in kernels_avx2.cc (compiled with -mavx2 and
-// -ffp-contract=off so no FMA contraction can break the lane contract).
-namespace detail {
-double DotDenseAvx2(const double* a, const double* b, int n);
-double DotSparseAvx2(const int* indices, const double* values, int nnz,
-                     const double* w);
-double SumAvx2(const double* v, int n);
-void AxpyAvx2(double alpha, const double* x, double* y, int n);
-void ScaleAvx2(double* v, int n, double factor);
-}  // namespace detail
-#endif
+// The reductions below spell out the canonical 4-lane association
+// (kernels.h); their order of operations is part of every recorded digest.
 
-namespace {
-
-// ---- scalar variants: the canonical 4-lane association, spelled out -------
-
-double DotDenseScalar(const double* a, const double* b, int n) {
+double DotDense(const double* a, const double* b, int n) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   int i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -48,8 +22,8 @@ double DotDenseScalar(const double* a, const double* b, int n) {
   return sum;
 }
 
-double DotSparseScalar(const int* indices, const double* values, int nnz,
-                       const double* w) {
+double DotSparse(const int* indices, const double* values, int nnz,
+                 const double* w) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   int k = 0;
   for (; k + 4 <= nnz; k += 4) {
@@ -63,7 +37,7 @@ double DotSparseScalar(const int* indices, const double* values, int nnz,
   return sum;
 }
 
-double SumScalar(const double* v, int n) {
+double Sum(const double* v, int n) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   int i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -77,246 +51,16 @@ double SumScalar(const double* v, int n) {
   return sum;
 }
 
-void AxpyScalar(double alpha, const double* x, double* y, int n) {
+void Axpy(double alpha, const double* x, double* y, int n) {
   for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void ScaleScalar(double* v, int n, double factor) {
-  for (int i = 0; i < n; ++i) v[i] *= factor;
-}
-
-#if ACTIVEDP_SIMD_X86
-
-// ---- SSE2 variants: two 128-bit accumulators = the same 4 lanes -----------
-
-// acc01 carries lanes 0/1, acc23 lanes 2/3; the horizontal combine below
-// reproduces ((l0 + l1) + (l2 + l3)) exactly.
-inline double CombineLanesSse2(__m128d acc01, __m128d acc23) {
-  const __m128d hi01 = _mm_unpackhi_pd(acc01, acc01);
-  const __m128d hi23 = _mm_unpackhi_pd(acc23, acc23);
-  const double s01 = _mm_cvtsd_f64(_mm_add_sd(acc01, hi01));
-  const double s23 = _mm_cvtsd_f64(_mm_add_sd(acc23, hi23));
-  return s01 + s23;
-}
-
-double DotDenseSse2(const double* a, const double* b, int n) {
-  __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01,
-                       _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-    acc23 = _mm_add_pd(
-        acc23, _mm_mul_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2)));
-  }
-  double sum = CombineLanesSse2(acc01, acc23);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double DotSparseSse2(const int* indices, const double* values, int nnz,
-                     const double* w) {
-  __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-  int k = 0;
-  for (; k + 4 <= nnz; k += 4) {
-    const __m128d w01 = _mm_set_pd(w[indices[k + 1]], w[indices[k]]);
-    const __m128d w23 = _mm_set_pd(w[indices[k + 3]], w[indices[k + 2]]);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_loadu_pd(values + k), w01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_loadu_pd(values + k + 2), w23));
-  }
-  double sum = CombineLanesSse2(acc01, acc23);
-  for (; k < nnz; ++k) sum += values[k] * w[indices[k]];
-  return sum;
-}
-
-double SumSse2(const double* v, int n) {
-  __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_loadu_pd(v + i));
-    acc23 = _mm_add_pd(acc23, _mm_loadu_pd(v + i + 2));
-  }
-  double sum = CombineLanesSse2(acc01, acc23);
-  for (; i < n; ++i) sum += v[i];
-  return sum;
-}
-
-void AxpySse2(double alpha, const double* x, double* y, int n) {
-  const __m128d va = _mm_set1_pd(alpha);
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d prod = _mm_mul_pd(va, _mm_loadu_pd(x + i));
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void ScaleSse2(double* v, int n, double factor) {
-  const __m128d vf = _mm_set1_pd(factor);
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(v + i, _mm_mul_pd(_mm_loadu_pd(v + i), vf));
-  }
-  for (; i < n; ++i) v[i] *= factor;
-}
-
-#endif  // ACTIVEDP_SIMD_X86
-
-// ---- dispatch -------------------------------------------------------------
-
-SimdLevel DetectMaxLevel() {
-#if ACTIVEDP_SIMD_X86
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-  return SimdLevel::kSse2;  // baseline on x86-64
-#else
-  return SimdLevel::kScalar;
-#endif
-}
-
-SimdLevel ClampToSupported(SimdLevel level) {
-  const auto max = static_cast<int>(DetectMaxLevel());
-  const int want = static_cast<int>(level);
-  return static_cast<SimdLevel>(want < max ? want : max);
-}
-
-SimdLevel InitialLevel() {
-  const char* env = std::getenv("ACTIVEDP_SIMD");
-  if (env != nullptr && env[0] != '\0') {
-    return ClampToSupported(ParseSimdLevel(env));
-  }
-  return DetectMaxLevel();
-}
-
-std::atomic<int>& LevelSlot() {
-  static std::atomic<int> level{static_cast<int>(InitialLevel())};
-  return level;
-}
-
-}  // namespace
-
-SimdLevel ActiveSimdLevel() {
-  return static_cast<SimdLevel>(LevelSlot().load(std::memory_order_relaxed));
-}
-
-SimdLevel MaxSupportedSimdLevel() { return DetectMaxLevel(); }
-
-SimdLevel SetSimdLevel(SimdLevel level) {
-  const SimdLevel applied = ClampToSupported(level);
-  LevelSlot().store(static_cast<int>(applied), std::memory_order_relaxed);
-  return applied;
-}
-
-std::string SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
-}
-
-SimdLevel ParseSimdLevel(const std::string& name) {
-  const std::string lower = ToLower(name);
-  if (lower == "off" || lower == "scalar" || lower == "0") {
-    return SimdLevel::kScalar;
-  }
-  if (lower == "sse2" || lower == "sse") return SimdLevel::kSse2;
-  if (lower == "avx2" || lower == "avx") return SimdLevel::kAvx2;
-  return MaxSupportedSimdLevel();  // "on" / "auto" / unknown
-}
-
-bool SimdCompiledIn() {
-#if ACTIVEDP_SIMD_X86
-  return true;
-#else
-  return false;
-#endif
-}
-
-double DotDense(const double* a, const double* b, int n) {
-#if ACTIVEDP_SIMD_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      return detail::DotDenseAvx2(a, b, n);
-    case SimdLevel::kSse2:
-      return DotDenseSse2(a, b, n);
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  return DotDenseScalar(a, b, n);
-}
-
-double DotSparse(const int* indices, const double* values, int nnz,
-                 const double* w) {
-#if ACTIVEDP_SIMD_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      return detail::DotSparseAvx2(indices, values, nnz, w);
-    case SimdLevel::kSse2:
-      return DotSparseSse2(indices, values, nnz, w);
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  return DotSparseScalar(indices, values, nnz, w);
-}
-
-double Sum(const double* v, int n) {
-#if ACTIVEDP_SIMD_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      return detail::SumAvx2(v, n);
-    case SimdLevel::kSse2:
-      return SumSse2(v, n);
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  return SumScalar(v, n);
-}
-
-void Axpy(double alpha, const double* x, double* y, int n) {
-#if ACTIVEDP_SIMD_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      detail::AxpyAvx2(alpha, x, y, n);
-      return;
-    case SimdLevel::kSse2:
-      AxpySse2(alpha, x, y, n);
-      return;
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  AxpyScalar(alpha, x, y, n);
-}
-
 void Scale(double* v, int n, double factor) {
-#if ACTIVEDP_SIMD_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      detail::ScaleAvx2(v, n, factor);
-      return;
-    case SimdLevel::kSse2:
-      ScaleSse2(v, n, factor);
-      return;
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  ScaleScalar(v, n, factor);
+  for (int i = 0; i < n; ++i) v[i] *= factor;
 }
 
 void SoftmaxInPlace(double* v, int n) {
   if (n <= 0) return;
-  // Max scan and exp are shared scalar code in every variant: libm's exp is
-  // the only bitwise-stable exp, and a lane-ordered max could differ from
-  // the sequential one only in the sign of a zero (exp maps both to 1.0).
   double max = v[0];
   for (int i = 1; i < n; ++i) {
     if (v[i] > max) max = v[i];

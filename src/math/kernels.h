@@ -1,61 +1,25 @@
 #ifndef ACTIVEDP_MATH_KERNELS_H_
 #define ACTIVEDP_MATH_KERNELS_H_
 
-#include <string>
-
 namespace activedp {
 namespace kernels {
 
-/// Vectorized numeric kernels for the pipeline hot paths (dot products,
-/// axpy, softmax) with runtime CPU dispatch.
+/// Numeric kernels for the pipeline hot paths (dot products, axpy, softmax).
 ///
-/// Determinism contract: every variant of a reducing kernel implements the
-/// same *canonical 4-lane association*
+/// Determinism contract: every reducing kernel uses the *canonical 4-lane
+/// association*
 ///
-///   lane[l] = sum over i of term(4*i + l)      (l = 0..3)
+///   lane[l] = sum over i of term(4*i + l)      (l = 0..3, in order of i)
 ///   result  = ((lane[0] + lane[1]) + (lane[2] + lane[3])) + tail terms
 ///
-/// which is exactly what one 256-bit AVX2 accumulator (4 doubles) produces,
-/// what two 128-bit SSE2 accumulators produce, and what the scalar fallback
-/// computes with four explicit accumulators. No variant uses FMA (the AVX2
-/// translation unit is compiled with -ffp-contract=off), so scalar, SSE2 and
-/// AVX2 results are bitwise identical for identical inputs. Element-wise
-/// kernels (axpy, scale) have no reduction and are trivially identical.
-/// Flipping the SIMD level is therefore purely a throughput knob — FNV
-/// digests over kernel outputs never change.
-///
-/// Dispatch: the level is picked once at startup from CPUID (best supported
-/// of AVX2 > SSE2 > scalar), can be capped with the ACTIVEDP_SIMD environment
-/// variable ("off"/"scalar", "sse2", "avx2", "on"/"auto"), and can be forced
-/// at runtime with SetSimdLevel (tests). Building with -DACTIVEDP_SIMD=OFF
-/// compiles the SIMD translation units out entirely; only kScalar remains.
-
-enum class SimdLevel {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-};
-
-/// Currently active dispatch level.
-SimdLevel ActiveSimdLevel();
-
-/// Highest level this binary + CPU supports (kScalar when compiled with
-/// -DACTIVEDP_SIMD=OFF or on non-x86 hosts).
-SimdLevel MaxSupportedSimdLevel();
-
-/// Forces the dispatch level, clamped to MaxSupportedSimdLevel(). Returns
-/// the level actually applied. Thread-safe; intended for tests and benches.
-SimdLevel SetSimdLevel(SimdLevel level);
-
-/// "scalar" / "sse2" / "avx2".
-std::string SimdLevelName(SimdLevel level);
-
-/// Parses a level name (or "off"/"on"/"auto"); falls back to
-/// MaxSupportedSimdLevel() on "on"/"auto"/unknown.
-SimdLevel ParseSimdLevel(const std::string& name);
-
-/// True when the SIMD variants were compiled in (-DACTIVEDP_SIMD=ON on x86).
-bool SimdCompiledIn();
+/// with the tail terms (the last n % 4) added one at a time in index order.
+/// Floating-point addition is not associative, so this order is part of the
+/// result: every recorded FNV digest over a kernel output (determinism_test,
+/// the served==offline gates, the chaos matrices, the benchmark's
+/// training-label digests) was computed with it. Keep the four accumulators
+/// spelled out; folding them into one running sum, letting the compiler
+/// reassociate (-ffast-math) or contract mul+add into FMA changes the bits.
+/// Element-wise kernels (axpy, scale) have no reduction.
 
 /// sum_i a[i] * b[i] (canonical 4-lane association).
 double DotDense(const double* a, const double* b, int n);
@@ -68,17 +32,15 @@ double DotSparse(const int* indices, const double* values, int nnz,
 /// sum_i v[i] (canonical 4-lane association).
 double Sum(const double* v, int n);
 
-/// y[i] += alpha * x[i]. Element-wise: bitwise identical at every level.
+/// y[i] += alpha * x[i].
 void Axpy(double alpha, const double* x, double* y, int n);
 
-/// v[i] *= factor. Element-wise.
+/// v[i] *= factor.
 void Scale(double* v, int n, double factor);
 
 /// In-place stable softmax: v[i] = exp(v[i] - max) / sum_j exp(v[j] - max).
-/// The max scan and exp calls are shared scalar code (libm exp is the only
-/// bitwise-stable choice); the normalizing sum uses the canonical 4-lane
-/// reduction and the division is element-wise, so the result is bitwise
-/// identical at every level.
+/// A sequential max scan, libm exp, the canonical 4-lane Sum, then an
+/// element-wise division.
 void SoftmaxInPlace(double* v, int n);
 
 }  // namespace kernels

@@ -75,8 +75,7 @@ Matrix Matrix::Multiply(const Matrix& other) const {
           for (int k = 0; k < cols_; ++k) {
             const double aval = a[k];
             if (aval == 0.0) continue;
-            // Element-wise axpy: bitwise identical to the scalar loop at
-            // every SIMD level (kernels.h).
+            // Element-wise axpy (kernels.h).
             kernels::Axpy(aval, other.RowPtr(k), o, other.cols_);
           }
         }

@@ -205,15 +205,20 @@ Status EventLog::OpenSegmentLocked() {
   return Status::Ok();
 }
 
+bool EventLog::SyncSegmentLocked() {
+  return std::fflush(segment_file_) == 0 &&
+         ::fsync(::fileno(segment_file_)) == 0;
+}
+
 Status EventLog::SealSegmentLocked() {
   if (segment_file_ == nullptr) return Status::Ok();
-  std::fflush(segment_file_);
-  ::fsync(::fileno(segment_file_));
-  if (std::fclose(segment_file_) != 0) {
-    segment_file_ = nullptr;
-    return Status::Internal("cannot close event-log segment " + segment_path_);
-  }
+  const bool synced = SyncSegmentLocked();
+  const bool closed = std::fclose(segment_file_) == 0;
   segment_file_ = nullptr;
+  if (!synced || !closed) {
+    poisoned_ = true;
+    return Status::Internal("cannot seal event-log segment " + segment_path_);
+  }
   if (segment_records_ > 0) {
     sealed_segments_.push_back(segment_path_);
   } else {
@@ -228,8 +233,8 @@ Result<uint64_t> EventLog::Append(const FeedbackEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (poisoned_) {
     return Status::Unavailable(
-        "event log poisoned by a torn append; Open() a fresh instance to "
-        "recover");
+        "event log poisoned by a torn or failed append; Open() a fresh "
+        "instance to recover");
   }
   FaultKind fault = CheckFault(
       "eventlog.append", {FaultKind::kError, FaultKind::kTruncateWrite});
@@ -250,12 +255,14 @@ Result<uint64_t> EventLog::Append(const FeedbackEvent& event) {
     to_write /= 2;
     poisoned_ = true;
   }
-  if (std::fwrite(line.data(), 1, to_write, segment_file_) != to_write) {
-    return Status::Internal("short write to event-log segment " +
+  if (std::fwrite(line.data(), 1, to_write, segment_file_) != to_write ||
+      !SyncSegmentLocked()) {
+    // Part of the record may be on disk. Appending after it would bury a
+    // torn line mid-segment, where Open()'s tail recovery does not look.
+    poisoned_ = true;
+    return Status::Internal("cannot durably append to event-log segment " +
                             segment_path_);
   }
-  std::fflush(segment_file_);
-  ::fsync(::fileno(segment_file_));
   next_seq_ = record.seq + 1;
   ++segment_records_;
   if (!poisoned_ && segment_records_ >= options_.max_records_per_segment) {
@@ -268,8 +275,8 @@ Status EventLog::Rotate() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (poisoned_) {
     return Status::Unavailable(
-        "event log poisoned by a torn append; Open() a fresh instance to "
-        "recover");
+        "event log poisoned by a torn or failed append; Open() a fresh "
+        "instance to recover");
   }
   return SealSegmentLocked();
 }

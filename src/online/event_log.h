@@ -98,7 +98,9 @@ class EventLog {
   EventLog& operator=(const EventLog&) = delete;
 
   /// Durably appends one event; assigns and returns its sequence number.
-  /// The record is flushed and fsync'd before returning.
+  /// The record is flushed and fsync'd before returning. A failed write,
+  /// flush or fsync returns Internal and poisons the handle (Unavailable
+  /// from then on), so a partial record can only ever be the segment's tail.
   Result<uint64_t> Append(const FeedbackEvent& event);
 
   /// Seals the open segment (if it has any records) so it becomes visible to
@@ -136,6 +138,8 @@ class EventLog {
   Status OpenSegmentLocked();
   /// Seals the open segment (caller holds mutex_).
   Status SealSegmentLocked();
+  /// fflush + fsync of the open segment; false on either failure.
+  bool SyncSegmentLocked();
 
   const std::string dir_;
   const EventLogOptions options_;
@@ -147,8 +151,9 @@ class EventLog {
   std::string segment_path_;
   int segment_records_ = 0;
   std::vector<std::string> sealed_segments_;
-  /// Set after a torn append (kTruncateWrite fire): the in-process handle is
-  /// past its own crash point, so further appends are refused.
+  /// Set after a torn append (kTruncateWrite fire) or a failed write, flush,
+  /// fsync or seal: the segment may end in a partial record, so further
+  /// appends are refused until a fresh Open() truncates it.
   bool poisoned_ = false;
 };
 

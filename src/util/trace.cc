@@ -50,7 +50,6 @@ Tracer& Tracer::Global() {
 }
 
 void Tracer::Enable() {
-  if (!kTracingCompiledIn) return;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& buffer : buffers_) {
     std::lock_guard<std::mutex> buffer_lock(buffer->mutex);

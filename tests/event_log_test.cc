@@ -3,10 +3,13 @@
 // append returns. The contracts under test: a torn tail (a crash mid-append)
 // is recovered by truncation on reopen, a mid-record bit flip is *rejected*
 // (never truncated away), rotation never changes what a replay yields, and a
-// poisoned handle refuses work until a fresh Open().
+// poisoned handle (after a torn append or a real write failure) refuses work
+// until a fresh Open().
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -312,6 +315,61 @@ TEST(EventLogTest, TornAppendPoisonsTheHandleUntilReopened) {
   ASSERT_EQ(events->size(), 4u);
   EXPECT_EQ(events->back().seq, 3u);
   EXPECT_EQ(events->back().row, 5);
+}
+
+TEST(EventLogTest, RealWriteFailurePoisonsTheHandleAndKeepsTheAckedPrefix) {
+  const std::string dir = FreshDir("event_log_fsize_limit");
+  auto log = OpenLog(dir);
+  ASSERT_TRUE(log.ok());
+  std::vector<int64_t> acked_rows;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        (*log)->Append(MakeEvent(FeedbackType::kExactLabel, i, 1)).ok());
+    acked_rows.push_back(i);
+  }
+  std::string segment;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    segment = entry.path().string();
+  }
+  ASSERT_FALSE(segment.empty());
+  const uintmax_t size = std::filesystem::file_size(segment);
+
+  // A real I/O error, not an injected one: cap the file size a few bytes
+  // past the open segment, so the next record only partly fits. SIGXFSZ is
+  // ignored so the write fails with EFBIG instead of killing the process.
+  const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(size + 8);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Result<uint64_t> failed =
+      (*log)->Append(MakeEvent(FeedbackType::kExactLabel, 123456789, 1));
+  const Result<uint64_t> after =
+      (*log)->Append(MakeEvent(FeedbackType::kExactLabel, 4, 1));
+  log->reset();
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, previous_handler);
+
+  // The record that did not reach the disk is not acknowledged, and the
+  // handle refuses to append behind the partial record it left.
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
+
+  // A fresh Open() truncates the torn tail and replays exactly the
+  // acknowledged records.
+  auto reopened = OpenLog(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->next_seq(), acked_rows.size());
+  const Result<std::vector<FeedbackEvent>> events = (*reopened)->ReplayAll();
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), acked_rows.size());
+  for (size_t i = 0; i < acked_rows.size(); ++i) {
+    EXPECT_EQ((*events)[i].seq, i);
+    EXPECT_EQ((*events)[i].row, acked_rows[i]);
+  }
 }
 
 TEST(EventLogTest, InjectedReplayCorruptionIsCaughtByTheChecksum) {

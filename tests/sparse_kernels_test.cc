@@ -1,6 +1,6 @@
-// Sparse data plane + kernel dispatch (DESIGN.md §13):
-//  - every SIMD variant of every reducing kernel is bitwise identical to the
-//    scalar 4-lane reference, including ragged tails;
+// Sparse data plane + numeric kernels (DESIGN.md §13):
+//  - every kernel is bitwise identical to a test-local reference of the
+//    canonical 4-lane association, including ragged tails;
 //  - CsrMatrix round-trips dense matrices exactly and its products match the
 //    dense path, including all-zero rows and empty columns;
 //  - LabelMatrix's maintained active counts and lazily built CSR row view
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -34,32 +35,37 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-// The levels this binary + CPU can actually run (always includes scalar).
-std::vector<kernels::SimdLevel> AvailableLevels() {
-  std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
-  if (kernels::MaxSupportedSimdLevel() >= kernels::SimdLevel::kSse2) {
-    levels.push_back(kernels::SimdLevel::kSse2);
+// Test-local references for the canonical 4-lane association
+// (math/kernels.h), written independently of the kernels: lane l sums
+// term(4i + l) over the full blocks in order of i, the lanes combine as
+// (l0 + l1) + (l2 + l3), and the n % 4 tail terms follow one at a time.
+template <typename Term>
+double LaneReference(int n, Term term) {
+  const int full = n - n % 4;
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  for (int l = 0; l < 4; ++l) {
+    for (int i = 0; 4 * i + l < full; ++i) lane[l] += term(4 * i + l);
   }
-  if (kernels::MaxSupportedSimdLevel() >= kernels::SimdLevel::kAvx2) {
-    levels.push_back(kernels::SimdLevel::kAvx2);
-  }
-  return levels;
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (int k = full; k < n; ++k) sum += term(k);
+  return sum;
 }
 
-class SimdLevelRestorer {
- public:
-  SimdLevelRestorer() : entry_(kernels::ActiveSimdLevel()) {}
-  ~SimdLevelRestorer() { kernels::SetSimdLevel(entry_); }
+std::vector<double> SoftmaxReference(std::vector<double> v) {
+  const int n = static_cast<int>(v.size());
+  if (n == 0) return v;
+  double max = v[0];
+  for (int i = 1; i < n; ++i) max = std::max(max, v[i]);
+  for (double& x : v) x = std::exp(x - max);
+  const double total = LaneReference(n, [&](int i) { return v[i]; });
+  for (double& x : v) x /= total;
+  return v;
+}
 
- private:
-  kernels::SimdLevel entry_;
-};
-
-TEST(KernelDispatchTest, AllLevelsBitwiseIdenticalFuzz) {
-  SimdLevelRestorer restore;
+TEST(KernelsTest, LaneContractBitwiseFuzz) {
   Rng rng(20240809);
-  // Sizes straddle every tail length of the 4-wide (and 2-wide SSE2) main
-  // loops, plus a couple of larger blocks.
+  // Sizes straddle every tail length of the 4-wide main loop, plus a couple
+  // of larger blocks.
   const std::vector<int> sizes = {0,  1,  2,  3,  4,  5,  6,  7,  8,
                                   9,  15, 16, 17, 31, 64, 67, 255};
   for (const int n : sizes) {
@@ -79,64 +85,33 @@ TEST(KernelDispatchTest, AllLevelsBitwiseIdenticalFuzz) {
     std::vector<double> soft(n);
     for (double& v : soft) v = rng.Uniform(-30.0, 30.0);
 
-    // Scalar reference for every kernel.
-    ASSERT_EQ(kernels::SetSimdLevel(kernels::SimdLevel::kScalar),
-              kernels::SimdLevel::kScalar);
-    const double ref_dot = kernels::DotDense(a.data(), b.data(), n);
-    const double ref_sparse =
-        kernels::DotSparse(idx.data(), a.data(), n, w.data());
-    const double ref_sum = kernels::Sum(a.data(), n);
-    std::vector<double> ref_axpy = b;
-    kernels::Axpy(1.7, a.data(), ref_axpy.data(), n);
-    std::vector<double> ref_scale = a;
-    kernels::Scale(ref_scale.data(), n, -0.37);
-    std::vector<double> ref_softmax = soft;
-    if (n > 0) kernels::SoftmaxInPlace(ref_softmax.data(), n);
+    EXPECT_EQ(Bits(LaneReference(n, [&](int i) { return a[i] * b[i]; })),
+              Bits(kernels::DotDense(a.data(), b.data(), n)))
+        << "DotDense n=" << n;
+    EXPECT_EQ(
+        Bits(LaneReference(n, [&](int k) { return a[k] * w[idx[k]]; })),
+        Bits(kernels::DotSparse(idx.data(), a.data(), n, w.data())))
+        << "DotSparse n=" << n;
+    EXPECT_EQ(Bits(LaneReference(n, [&](int i) { return a[i]; })),
+              Bits(kernels::Sum(a.data(), n)))
+        << "Sum n=" << n;
 
-    for (const kernels::SimdLevel level : AvailableLevels()) {
-      ASSERT_EQ(kernels::SetSimdLevel(level), level);
-      const std::string name = kernels::SimdLevelName(level);
-      EXPECT_EQ(Bits(ref_dot), Bits(kernels::DotDense(a.data(), b.data(), n)))
-          << "DotDense n=" << n << " level=" << name;
-      EXPECT_EQ(Bits(ref_sparse),
-                Bits(kernels::DotSparse(idx.data(), a.data(), n, w.data())))
-          << "DotSparse n=" << n << " level=" << name;
-      EXPECT_EQ(Bits(ref_sum), Bits(kernels::Sum(a.data(), n)))
-          << "Sum n=" << n << " level=" << name;
-      std::vector<double> axpy = b;
-      kernels::Axpy(1.7, a.data(), axpy.data(), n);
-      std::vector<double> scale = a;
-      kernels::Scale(scale.data(), n, -0.37);
-      std::vector<double> softmax = soft;
-      if (n > 0) kernels::SoftmaxInPlace(softmax.data(), n);
-      for (int k = 0; k < n; ++k) {
-        ASSERT_EQ(Bits(ref_axpy[k]), Bits(axpy[k]))
-            << "Axpy n=" << n << " k=" << k << " level=" << name;
-        ASSERT_EQ(Bits(ref_scale[k]), Bits(scale[k]))
-            << "Scale n=" << n << " k=" << k << " level=" << name;
-        ASSERT_EQ(Bits(ref_softmax[k]), Bits(softmax[k]))
-            << "Softmax n=" << n << " k=" << k << " level=" << name;
-      }
+    std::vector<double> axpy = b;
+    kernels::Axpy(1.7, a.data(), axpy.data(), n);
+    std::vector<double> scale = a;
+    kernels::Scale(scale.data(), n, -0.37);
+    std::vector<double> softmax = soft;
+    kernels::SoftmaxInPlace(softmax.data(), n);
+    const std::vector<double> ref_softmax = SoftmaxReference(soft);
+    for (int k = 0; k < n; ++k) {
+      ASSERT_EQ(Bits(b[k] + 1.7 * a[k]), Bits(axpy[k]))
+          << "Axpy n=" << n << " k=" << k;
+      ASSERT_EQ(Bits(a[k] * -0.37), Bits(scale[k]))
+          << "Scale n=" << n << " k=" << k;
+      ASSERT_EQ(Bits(ref_softmax[k]), Bits(softmax[k]))
+          << "Softmax n=" << n << " k=" << k;
     }
   }
-}
-
-TEST(KernelDispatchTest, EnvAndClampSemantics) {
-  SimdLevelRestorer restore;
-  // SetSimdLevel clamps to what the binary/CPU supports and reports what it
-  // actually applied.
-  const kernels::SimdLevel applied =
-      kernels::SetSimdLevel(kernels::SimdLevel::kAvx2);
-  EXPECT_LE(applied, kernels::MaxSupportedSimdLevel());
-  EXPECT_EQ(applied, kernels::ActiveSimdLevel());
-  EXPECT_EQ(kernels::SetSimdLevel(kernels::SimdLevel::kScalar),
-            kernels::SimdLevel::kScalar);
-  // Name/parse round trip.
-  for (const kernels::SimdLevel level : AvailableLevels()) {
-    EXPECT_EQ(kernels::ParseSimdLevel(kernels::SimdLevelName(level)), level);
-  }
-  EXPECT_EQ(kernels::ParseSimdLevel("off"), kernels::SimdLevel::kScalar);
-  EXPECT_EQ(kernels::ParseSimdLevel("auto"), kernels::MaxSupportedSimdLevel());
 }
 
 // Random dense matrix with controllable sparsity; `zero_rows` / `zero_cols`
