@@ -376,7 +376,6 @@ ChaosOutcome RunShedBurstDrill(const ServeChaosFixture& fixture,
   ChaosOutcome outcome;
   PredictionServiceOptions options;
   options.max_batch_size = 4;
-  options.max_batch_delay_ms = 0.2;
   options.max_queue_delay_ms = 0.05;
   options.shed_burst_threshold = 8;
   options.incident_window_seconds = 30.0;

@@ -163,7 +163,6 @@ int Main(int argc, char** argv) {
 
   PredictionServiceOptions service_options;
   service_options.max_batch_size = 16;
-  service_options.max_batch_delay_ms = 0.2;
   PredictionService service(service_options);
   service.LoadSnapshot(fixture->snapshot);
   service.AttachEventLog(log->get());

@@ -258,7 +258,6 @@ uint64_t ServedDigest(const std::shared_ptr<const ModelSnapshot>& snapshot,
                       const Dataset& train, int n, int batch_size) {
   PredictionServiceOptions options;
   options.max_batch_size = batch_size;
-  options.max_batch_delay_ms = 0.5;
   options.max_queue_depth = n + 1;
   PredictionService service(options);
   service.LoadSnapshot(snapshot);
@@ -289,7 +288,6 @@ int RunHotSwapGate(const std::shared_ptr<const ModelSnapshot>& a,
                    int swaps) {
   PredictionServiceOptions options;
   options.max_batch_size = 8;
-  options.max_batch_delay_ms = 0.2;
   PredictionService service(options);
   service.LoadSnapshot(a);
   std::atomic<int> mismatches{0};
@@ -636,7 +634,6 @@ int RunMultiTenantStorm(FlagParser& flags) {
                                      .set_num_shards(num_shards)
                                      .set_virtual_nodes(64)
                                      .set_max_batch_size(8)
-                                     .set_max_batch_delay_ms(0.3)
                                      .set_max_queue_depth(requests + 1)
                                      .set_default_tenant_limits(default_limits)
                                      .Build();
@@ -942,8 +939,6 @@ int Main(int argc, char** argv) {
   flags.AddFlag("clients", "4", "closed-loop client threads");
   flags.AddFlag("rate", "2000", "open-loop arrival rate (requests/second)");
   flags.AddFlag("batch", "32", "service max batch size for the load phases");
-  flags.AddFlag("delay-ms", "2.0", "service max batch delay for the load "
-                                   "phases");
   flags.AddFlag("threads", "", "comma-separated compute-pool widths for the "
                                "determinism sweep (default: 1,<hardware>)");
   flags.AddFlag("out", "BENCH_serving.json", "JSON report path");
@@ -1092,7 +1087,6 @@ int Main(int argc, char** argv) {
   SloEngine slo(DefaultServingSlos());
   PredictionServiceOptions serve_options;
   serve_options.max_batch_size = flags.GetInt("batch");
-  serve_options.max_batch_delay_ms = flags.GetDouble("delay-ms");
   serve_options.shed_burst_threshold = 64;
   serve_options.deadline_storm_threshold = 64;
   PredictionService service(serve_options);

@@ -1,6 +1,6 @@
 // Serving quickstart: trains a small ActiveDP pipeline, exports the result
 // as an immutable ModelSnapshot, persists it to disk (atomic write +
-// checksum), reloads it, and serves predictions through the micro-batching
+// checksum), reloads it, and serves predictions through the batching
 // PredictionService — including a live hot swap to a newer snapshot.
 //
 // Build & run:  cmake --build build && ./build/examples/serve_quickstart
@@ -67,8 +67,9 @@ int main() {
   }
   std::printf("saved and reloaded %s\n", path.c_str());
 
-  // 4. Serve. The service micro-batches concurrent requests (flushing on
-  //    batch size or max delay) and runs them on the compute pool. Served
+  // 4. Serve. The service batches concurrent requests (an idle dispatcher
+  //    takes whatever is queued, up to the batch size) and runs them on the
+  //    compute pool. Served
   //    predictions are bitwise identical to offline ConFusion aggregation
   //    at any batch size or thread count.
   auto snapshot =
@@ -102,7 +103,8 @@ int main() {
     std::printf("]\n");
   }
 
-  // A burst of async requests forms micro-batches.
+  // A burst of async requests: those queued while a batch computes form the
+  // next batch.
   std::vector<std::future<ServeReply>> futures;
   const int burst = std::min(split->train.size(), 64);
   for (int i = 0; i < burst; ++i) {

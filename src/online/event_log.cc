@@ -202,6 +202,14 @@ Status EventLog::OpenSegmentLocked() {
     return Status::Internal("cannot open event-log segment " + segment_path_);
   }
   segment_records_ = 0;
+  // A record is acknowledged only once its segment's directory entry is
+  // durable too. Without it, nothing may be appended to this segment.
+  const Status synced = SyncPath(dir_);
+  if (!synced.ok()) {
+    poisoned_ = true;
+    return Status::Internal("cannot make event-log segment " + segment_path_ +
+                            " durable: " + synced.message());
+  }
   return Status::Ok();
 }
 

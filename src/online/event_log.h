@@ -98,9 +98,11 @@ class EventLog {
   EventLog& operator=(const EventLog&) = delete;
 
   /// Durably appends one event; assigns and returns its sequence number.
-  /// The record is flushed and fsync'd before returning. A failed write,
-  /// flush or fsync returns Internal and poisons the handle (Unavailable
-  /// from then on), so a partial record can only ever be the segment's tail.
+  /// The record is flushed and fsync'd before returning, and a segment's
+  /// directory entry is fsync'd when the segment is created. A failed write,
+  /// flush or fsync (file or directory) returns Internal and poisons the
+  /// handle (Unavailable from then on), so a partial record can only ever be
+  /// the segment's tail.
   Result<uint64_t> Append(const FeedbackEvent& event);
 
   /// Seals the open segment (if it has any records) so it becomes visible to
@@ -134,7 +136,8 @@ class EventLog {
   EventLog(std::string dir, EventLogOptions options, uint64_t next_seq,
            int next_segment_index);
 
-  /// Opens a new segment file for appending (caller holds mutex_).
+  /// Opens a new segment file for appending and fsyncs the log directory;
+  /// a failed directory fsync poisons the handle (caller holds mutex_).
   Status OpenSegmentLocked();
   /// Seals the open segment (caller holds mutex_).
   Status SealSegmentLocked();
@@ -152,8 +155,9 @@ class EventLog {
   int segment_records_ = 0;
   std::vector<std::string> sealed_segments_;
   /// Set after a torn append (kTruncateWrite fire) or a failed write, flush,
-  /// fsync or seal: the segment may end in a partial record, so further
-  /// appends are refused until a fresh Open() truncates it.
+  /// fsync, directory fsync or seal: the segment may end in a partial record
+  /// or not be durably named, so further appends are refused until a fresh
+  /// Open() recovers it.
   bool poisoned_ = false;
 };
 

@@ -134,7 +134,6 @@ ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
 
   PredictionServiceOptions service_options;
   service_options.max_batch_size = 8;
-  service_options.max_batch_delay_ms = 0.2;
   PredictionService service(service_options);
   service.LoadSnapshot(fixture.snapshot);
   service.AttachEventLog(log.get());

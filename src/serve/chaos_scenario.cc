@@ -136,7 +136,6 @@ ChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
 
   PredictionServiceOptions service_options;
   service_options.max_batch_size = 8;
-  service_options.max_batch_delay_ms = 0.2;
   service_options.breaker_threshold = 2;
   PredictionService service(service_options);
   service.LoadSnapshot(fixture.snapshot_a);

@@ -28,6 +28,20 @@ constexpr double kEwmaAlpha = 0.2;
 /// Bounded sleep injected by the "serve.predict" kLatencySpike fault site.
 constexpr double kLatencySpikeMs = 20.0;
 
+/// One series of the serve.stage_ms family. The low end resolves the
+/// microsecond-scale batches of an idle service; the high end keeps a
+/// latency-spiked or backlogged queue wait out of the overflow bucket.
+Histogram& StageHistogram(MetricsRegistry& registry, const char* stage) {
+  return registry.histogram("serve.stage_ms", {{"stage", stage}},
+                            {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+                             0.25, 0.5, 1, 2, 5, 10, 25, 50, 100, 250});
+}
+
+double MillisBetween(std::chrono::steady_clock::time_point from,
+                     std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
 struct ServeMetrics {
   Counter& requests;
   Counter& rejected;
@@ -39,6 +53,10 @@ struct ServeMetrics {
   Counter& feedback;
   Histogram& batch_size;
   Histogram& batch_latency_ms;
+  // serve.stage_ms{stage}: one observation per batched request and stage.
+  Histogram& stage_queue_ms;
+  Histogram& stage_compute_ms;
+  Histogram& stage_reply_ms;
 
   static ServeMetrics& Get() {
     static ServeMetrics* metrics = [] {
@@ -64,6 +82,9 @@ struct ServeMetrics {
           registry.histogram(
               "serve.batch_latency_ms",
               {0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1, 2, 5, 10, 25, 50, 100}),
+          StageHistogram(registry, "queue"),
+          StageHistogram(registry, "compute"),
+          StageHistogram(registry, "reply"),
       };
     }();
     return *metrics;
@@ -232,22 +253,27 @@ void PredictionService::Submit(ServeRequest request,
             Status::Unavailable(
                 "prediction queue is full (depth=" + std::to_string(depth) +
                 " of max " + std::to_string(options_.max_queue_depth) + ")"),
-            RejectInfo{
-                RetryAfterMs(std::max(estimate_ms, options_.max_batch_delay_ms)),
-                depth, RejectReason::kQueueFull});
+            RejectInfo{RetryAfterMs(estimate_ms), depth,
+                       RejectReason::kQueueFull});
       } else {
         PendingRequest pending;
         pending.request = std::move(request);
         pending.pinned = std::move(pinned);
         pending.resolve = std::move(resolve);
+        pending.admitted = Clock::now();
         queue_.push_back(std::move(pending));
-        queue_cv_.notify_all();
       }
     }
   }
-  // Rejections resolve outside the lock: the resolve callback may be a
-  // router completion hook that takes the router lock.
-  if (immediate) resolve(std::move(*immediate));
+  if (immediate) {
+    // Rejections resolve outside the lock: the resolve callback may be a
+    // router completion hook that takes the router lock.
+    resolve(std::move(*immediate));
+  } else {
+    // Notified after the lock is released, so the woken dispatcher does not
+    // block again on mutex_ still held here.
+    queue_cv_.notify_one();
+  }
 }
 
 std::future<ServeReply> PredictionService::PredictAsync(ServeRequest request) {
@@ -380,28 +406,19 @@ void PredictionService::Shutdown() {
 }
 
 void PredictionService::DispatchLoop() {
-  using Clock = std::chrono::steady_clock;
   ServeMetrics& metrics = ServeMetrics::Get();
   while (true) {
     std::vector<PendingRequest> batch;
     std::shared_ptr<const ModelSnapshot> snapshot;
+    Clock::time_point dequeued;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      // Micro-batch window: collect until the batch is full, the delay has
-      // elapsed, or shutdown wants the queue drained now.
-      const auto window_end =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 options_.max_batch_delay_ms));
-      queue_cv_.wait_until(lock, window_end, [this] {
-        return shutdown_ ||
-               static_cast<int>(queue_.size()) >= options_.max_batch_size;
-      });
+      // Woken with nothing queued means shutdown, and the queue is drained.
+      if (queue_.empty()) return;
+      // Adaptive batching: take everything queued right now, up to the batch
+      // cap, without waiting for more. Requests that arrive while this batch
+      // computes form the next one.
       const int take = std::min<int>(static_cast<int>(queue_.size()),
                                      options_.max_batch_size);
       batch.reserve(take);
@@ -409,22 +426,21 @@ void PredictionService::DispatchLoop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
+      dequeued = Clock::now();
       // Pin the snapshot current at dispatch: the RCU read side. A
       // concurrent LoadSnapshot affects later batches only. Tenant-pinned
       // requests carry their own snapshot and ignore this one.
       snapshot = snapshot_;
     }
-    if (!batch.empty()) {
-      metrics.batches.Increment();
-      metrics.batch_size.Observe(static_cast<double>(batch.size()));
-      RunBatch(snapshot, std::move(batch));
-    }
+    metrics.batches.Increment();
+    metrics.batch_size.Observe(static_cast<double>(batch.size()));
+    RunBatch(snapshot, std::move(batch), dequeued);
   }
 }
 
 void PredictionService::RunBatch(
     const std::shared_ptr<const ModelSnapshot>& snapshot,
-    std::vector<PendingRequest> batch) {
+    std::vector<PendingRequest> batch, Clock::time_point dequeued) {
   ServeMetrics& metrics = ServeMetrics::Get();
   // Span from the dispatcher thread only; the per-row work inside
   // PredictBatch runs on compute-pool workers, which stay trace-silent.
@@ -552,7 +568,14 @@ void PredictionService::RunBatch(
       }
     }
   }
+  // Stage times are observed before each reply resolves, so a caller that
+  // sees its reply also sees its three stage observations.
+  const Clock::time_point ready = Clock::now();
+  const double compute_ms = MillisBetween(dequeued, ready);
   for (size_t i = 0; i < batch.size(); ++i) {
+    metrics.stage_queue_ms.Observe(MillisBetween(batch[i].admitted, dequeued));
+    metrics.stage_compute_ms.Observe(compute_ms);
+    metrics.stage_reply_ms.Observe(MillisBetween(ready, Clock::now()));
     if (replies[i].has_value()) {
       batch[i].resolve(std::move(*replies[i]));
     }

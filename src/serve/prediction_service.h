@@ -1,6 +1,7 @@
 #ifndef ACTIVEDP_SERVE_PREDICTION_SERVICE_H_
 #define ACTIVEDP_SERVE_PREDICTION_SERVICE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -23,10 +24,9 @@ struct FeedbackEvent;
 class SloEngine;
 
 struct PredictionServiceOptions {
-  /// A batch is dispatched as soon as this many requests are queued...
+  /// Upper bound on one batch. An idle dispatcher takes whatever is queued,
+  /// up to this many requests, without waiting for more to arrive.
   int max_batch_size = 32;
-  /// ...or once the oldest queued request has waited this long.
-  double max_batch_delay_ms = 2.0;
   /// Admission control: requests beyond this queue depth are rejected
   /// immediately with Status::Unavailable instead of growing the queue
   /// without bound (backpressure the caller can retry on).
@@ -65,14 +65,17 @@ struct ServiceHealth {
   int64_t breaker_trips = 0;
 };
 
-/// A concurrent, micro-batching inference front-end over ModelSnapshot.
+/// A concurrent, batching inference front-end over ModelSnapshot.
 ///
-/// Requests enter a bounded queue; a dispatcher thread groups them into
-/// batches (flushing on batch size or max delay, whichever first) and
-/// evaluates each batch on the process-wide ComputePool via
-/// ModelSnapshot::PredictBatch. Because snapshot prediction is
-/// row-independent, batching boundaries never change results — a served
-/// prediction is bitwise identical to the offline aggregation at any load.
+/// Requests enter a bounded queue; a dispatcher thread evaluates them in
+/// batches on the process-wide ComputePool via ModelSnapshot::PredictBatch.
+/// Batching is adaptive (Clipper, Crankshaw et al., NSDI 2017): whenever the
+/// dispatcher is idle it takes everything queued, up to max_batch_size,
+/// straight away — a lone request is never held back waiting for company,
+/// and batches grow only from requests that arrive while the previous batch
+/// computes. Because snapshot prediction is row-independent, batching
+/// boundaries never change results — a served prediction is bitwise
+/// identical to the offline aggregation at any load.
 ///
 /// Snapshots hot-swap RCU-style: LoadSnapshot publishes a new
 /// shared_ptr<const ModelSnapshot>; each batch pins the snapshot current at
@@ -99,7 +102,12 @@ struct ServiceHealth {
 /// thread only (compute-pool workers stay trace-silent), and the global
 /// MetricsRegistry gains serve.requests / serve.rejected / serve.expired /
 /// serve.shed / serve.breaker_trips / serve.batches counters plus
-/// serve.batch_size and serve.batch_latency_ms histograms.
+/// serve.batch_size and serve.batch_latency_ms histograms. Every request
+/// that reaches a batch is also timed per stage into the
+/// serve.stage_ms{stage} family: "queue" (admission to dequeue), "compute"
+/// (dequeue to its batch's replies being ready) and "reply" (replies ready
+/// to its own reply being handed to the caller). All three are observed
+/// before the reply resolves.
 class PredictionService {
  public:
   /// Maps a tenant id to that tenant's active snapshot (null when the
@@ -193,8 +201,12 @@ class PredictionService {
   std::shared_ptr<const ModelSnapshot> last_known_good() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct PendingRequest {
     ServeRequest request;
+    /// When admission queued the request (start of the "queue" stage).
+    Clock::time_point admitted;
     /// The tenant's snapshot pinned at admission (null = use the service
     /// snapshot current at dispatch).
     std::shared_ptr<const ModelSnapshot> pinned;
@@ -208,8 +220,10 @@ class PredictionService {
   void Submit(ServeRequest request, std::function<void(ServeReply)> resolve);
 
   void DispatchLoop();
+  /// Evaluates one batch taken off the queue at `dequeued` and resolves
+  /// every request in it.
   void RunBatch(const std::shared_ptr<const ModelSnapshot>& snapshot,
-                std::vector<PendingRequest> batch);
+                std::vector<PendingRequest> batch, Clock::time_point dequeued);
   /// Estimated time for a request admitted now to reach dispatch, from the
   /// EWMA per-request service time. Caller holds mutex_.
   double EstimatedQueueDelayMsLocked() const;

@@ -22,9 +22,6 @@ Status ValidateServeConfig(const ServeConfig& config) {
   if (s.max_batch_size < 1) {
     return BadField("service.max_batch_size", "must be >= 1");
   }
-  if (!NonNegativeFinite(s.max_batch_delay_ms)) {
-    return BadField("service.max_batch_delay_ms", "must be finite and >= 0");
-  }
   if (s.max_queue_depth < 1) {
     return BadField("service.max_queue_depth", "must be >= 1");
   }

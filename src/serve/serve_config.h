@@ -81,10 +81,6 @@ class ServeConfigBuilder {
     config_.service.max_batch_size = v;
     return *this;
   }
-  ServeConfigBuilder& set_max_batch_delay_ms(double v) {
-    config_.service.max_batch_delay_ms = v;
-    return *this;
-  }
   ServeConfigBuilder& set_max_queue_depth(int v) {
     config_.service.max_queue_depth = v;
     return *this;

@@ -76,10 +76,9 @@ struct DeferredIncident {
   }
 };
 
-Histogram& TenantLatencyHistogram(const std::string& tenant_id) {
-  return MetricsRegistry::Global().histogram(
-      "serve.router.latency_ms", {{"tenant", tenant_id}},
-      {0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1, 2, 5, 10, 25, 50, 100, 250});
+Counter& TenantRequestsCounter(const std::string& tenant_id) {
+  return MetricsRegistry::Global().counter("serve.router.requests",
+                                           {{"tenant", tenant_id}});
 }
 
 }  // namespace
@@ -155,14 +154,23 @@ Status ShardRouter::AddTenant(const std::string& tenant_id,
   if (tenant_id.empty()) {
     return Status::InvalidArgument("tenant id must be non-empty");
   }
+  // Series are resolved before the router lock: the registry lock is never
+  // taken under it.
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  TenantEntry entry;
+  entry.limits = limits;
+  entry.requests_counter = &TenantRequestsCounter(tenant_id);
+  entry.shed_counter =
+      &metrics.counter("serve.router.shed", {{"tenant", tenant_id}});
+  entry.latency_ms = &metrics.histogram(
+      "serve.router.latency_ms", {{"tenant", tenant_id}},
+      {0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1, 2, 5, 10, 25, 50, 100, 250});
   std::lock_guard<std::mutex> lock(mutex_);
   if (tenants_.count(tenant_id) > 0) {
     return Status::FailedPrecondition("tenant '" + tenant_id +
                                       "' is already registered");
   }
-  TenantEntry entry;
   entry.shard = LookupRing(ring_, tenant_id);
-  entry.limits = limits;
   tenants_.emplace(tenant_id, std::move(entry));
   return Status::Ok();
 }
@@ -223,85 +231,86 @@ void ShardRouter::PredictWithCallback(ServeRequest request,
         "ServeRequest.tenant_id is required for routed prediction")));
     return;
   }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("serve.router.requests", {{"tenant", request.tenant_id}})
-      .Increment();
   DeferredIncident incident;
   std::optional<ServeReply> immediate;
   PredictionService* shard = nullptr;
+  Histogram* latency_ms = nullptr;
+  bool unknown_tenant = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = tenants_.find(request.tenant_id);
+    unknown_tenant = it == tenants_.end();
+    if (!unknown_tenant) it->second.requests_counter->Increment();
     if (shutdown_) {
       immediate = ServeReply::Rejected(
           Status::Unavailable("shard router is shut down"),
           RejectInfo{0.0, 0, RejectReason::kShutdown});
+    } else if (unknown_tenant) {
+      immediate = ServeReply::Error(
+          Status::NotFound("unknown tenant '" + request.tenant_id + "'"));
     } else {
-      auto it = tenants_.find(request.tenant_id);
-      if (it == tenants_.end()) {
-        immediate = ServeReply::Error(
-            Status::NotFound("unknown tenant '" + request.tenant_id + "'"));
-      } else {
-        TenantEntry& tenant = it->second;
-        const bool over_quota =
-            tenant.limits.max_in_flight > 0 &&
-            tenant.in_flight >= tenant.limits.max_in_flight;
-        // One tenant's estimated backlog: its own in-flight count at its
-        // own EWMA round-trip — nothing another tenant does moves it.
-        const double estimate_ms =
-            (static_cast<double>(tenant.in_flight) + 1.0) *
-            tenant.ewma_request_ms;
-        const bool overloaded =
-            !over_quota && request.priority < 1 &&
-            tenant.limits.max_queue_delay_ms > 0.0 &&
-            estimate_ms > tenant.limits.max_queue_delay_ms;
-        if (over_quota || overloaded) {
-          ++tenant.shed;
-          metrics
-              .counter("serve.router.shed", {{"tenant", request.tenant_id}})
-              .Increment();
-          if (NoteWindowEvent(&tenant.shed_window_start_us,
-                              &tenant.shed_window_count,
-                              config_.router.shed_burst_threshold,
-                              config_.router.incident_window_seconds)) {
-            TraceInstant("serve.router", "tenant_overload",
-                         "tenant=" + request.tenant_id + " shed " +
-                             std::to_string(
-                                 config_.router.shed_burst_threshold) +
-                             " requests within the incident window");
-            incident.reason = "router.tenant_overload";
-          }
-          if (over_quota) {
-            immediate = ServeReply::Rejected(
-                Status::Unavailable(
-                    "tenant '" + request.tenant_id +
-                    "' is over its admission quota (in-flight=" +
-                    std::to_string(tenant.in_flight) + " of max " +
-                    std::to_string(tenant.limits.max_in_flight) + ")"),
-                RejectInfo{RetryAfterMs(tenant.ewma_request_ms),
-                           tenant.in_flight, RejectReason::kQuotaExceeded});
-          } else {
-            immediate = ServeReply::Rejected(
-                Status::Unavailable(
-                    "tenant '" + request.tenant_id +
-                    "' is overloaded (in-flight=" +
-                    std::to_string(tenant.in_flight) + ", estimated delay " +
-                    std::to_string(estimate_ms) + "ms)"),
-                RejectInfo{RetryAfterMs(estimate_ms), tenant.in_flight,
-                           RejectReason::kOverloaded});
-          }
-        } else {
-          ++tenant.requests;
-          ++tenant.in_flight;
-          if (tenant.limits.deadline_budget_ms > 0.0) {
-            request.deadline = Deadline::Sooner(
-                request.deadline,
-                Deadline::After(tenant.limits.deadline_budget_ms / 1000.0));
-          }
-          shard = shards_[static_cast<size_t>(tenant.shard)].get();
+      TenantEntry& tenant = it->second;
+      const bool over_quota =
+          tenant.limits.max_in_flight > 0 &&
+          tenant.in_flight >= tenant.limits.max_in_flight;
+      // One tenant's estimated backlog: its own in-flight count at its
+      // own EWMA round-trip — nothing another tenant does moves it.
+      const double estimate_ms =
+          (static_cast<double>(tenant.in_flight) + 1.0) *
+          tenant.ewma_request_ms;
+      const bool overloaded =
+          !over_quota && request.priority < 1 &&
+          tenant.limits.max_queue_delay_ms > 0.0 &&
+          estimate_ms > tenant.limits.max_queue_delay_ms;
+      if (over_quota || overloaded) {
+        ++tenant.shed;
+        tenant.shed_counter->Increment();
+        if (NoteWindowEvent(&tenant.shed_window_start_us,
+                            &tenant.shed_window_count,
+                            config_.router.shed_burst_threshold,
+                            config_.router.incident_window_seconds)) {
+          TraceInstant("serve.router", "tenant_overload",
+                       "tenant=" + request.tenant_id + " shed " +
+                           std::to_string(
+                               config_.router.shed_burst_threshold) +
+                           " requests within the incident window");
+          incident.reason = "router.tenant_overload";
         }
+        if (over_quota) {
+          immediate = ServeReply::Rejected(
+              Status::Unavailable(
+                  "tenant '" + request.tenant_id +
+                  "' is over its admission quota (in-flight=" +
+                  std::to_string(tenant.in_flight) + " of max " +
+                  std::to_string(tenant.limits.max_in_flight) + ")"),
+              RejectInfo{RetryAfterMs(tenant.ewma_request_ms),
+                         tenant.in_flight, RejectReason::kQuotaExceeded});
+        } else {
+          immediate = ServeReply::Rejected(
+              Status::Unavailable(
+                  "tenant '" + request.tenant_id +
+                  "' is overloaded (in-flight=" +
+                  std::to_string(tenant.in_flight) + ", estimated delay " +
+                  std::to_string(estimate_ms) + "ms)"),
+              RejectInfo{RetryAfterMs(estimate_ms), tenant.in_flight,
+                         RejectReason::kOverloaded});
+        }
+      } else {
+        ++tenant.requests;
+        ++tenant.in_flight;
+        if (tenant.limits.deadline_budget_ms > 0.0) {
+          request.deadline = Deadline::Sooner(
+              request.deadline,
+              Deadline::After(tenant.limits.deadline_budget_ms / 1000.0));
+        }
+        shard = shards_[static_cast<size_t>(tenant.shard)].get();
+        latency_ms = tenant.latency_ms;
       }
     }
   }
+  // An unregistered tenant has no resolved series; counting its request
+  // takes the registry lock, but only on this error path.
+  if (unknown_tenant) TenantRequestsCounter(request.tenant_id).Increment();
   // Rejections resolve outside the router lock (`done` may take arbitrary
   // locks of its own).
   if (immediate) {
@@ -312,11 +321,11 @@ void ShardRouter::PredictWithCallback(ServeRequest request,
   std::string tenant_id = request.tenant_id;
   shard->PredictWithCallback(
       std::move(request),
-      [this, timer, tenant_id = std::move(tenant_id),
+      [this, timer, latency_ms, tenant_id = std::move(tenant_id),
        done = std::move(done)](ServeReply reply) mutable {
         const double elapsed_ms = timer.ElapsedMillis();
         OnComplete(tenant_id, elapsed_ms);
-        TenantLatencyHistogram(tenant_id).Observe(elapsed_ms);
+        latency_ms->Observe(elapsed_ms);
         done(std::move(reply));
       });
 }

@@ -18,6 +18,9 @@
 
 namespace activedp {
 
+class Counter;
+class Histogram;
+
 /// Point-in-time view of one tenant's router state (see StatsFor()).
 struct TenantStats {
   /// Shard the tenant's traffic routes to.
@@ -154,6 +157,12 @@ class ShardRouter {
     // Rolling shed-burst window for the "router.tenant_overload" incident.
     int64_t shed_window_start_us = 0;
     int shed_window_count = 0;
+    // The tenant's serve.router.* series, resolved once in AddTenant so the
+    // request path never takes the registry lock (instruments are never
+    // erased, so the pointers stay valid).
+    Counter* requests_counter = nullptr;
+    Counter* shed_counter = nullptr;
+    Histogram* latency_ms = nullptr;
   };
 
   /// One consistent-hash ring point: (hash, shard). The ring is immutable

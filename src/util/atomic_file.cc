@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,21 +20,6 @@
 
 namespace activedp {
 namespace {
-
-/// Flushes a file's contents to stable storage. A no-op on platforms
-/// without fsync; the rename below still gives old-or-new atomicity.
-Status SyncFile(const std::string& path) {
-#ifndef _WIN32
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::Internal("cannot open for fsync: " + path);
-  const int synced = ::fsync(fd);
-  ::close(fd);
-  if (synced != 0) return Status::Internal("fsync failed: " + path);
-#else
-  (void)path;
-#endif
-  return Status::Ok();
-}
 
 /// A temp name no other writer uses, in the destination's directory (so the
 /// rename stays on one filesystem): concurrent writers to one path each
@@ -81,12 +67,30 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
     out.flush();
     if (!out) status = Status::Internal("write failed: " + tmp);
   }
-  if (status.ok()) status = SyncFile(tmp);
+  if (status.ok()) status = SyncPath(tmp);
   if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     status = Status::Internal("rename failed: " + tmp + " -> " + path);
   }
-  if (!status.ok()) std::remove(tmp.c_str());
-  return status;
+  if (!status.ok()) {
+    std::remove(tmp.c_str());
+    return status;
+  }
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  return SyncPath(parent.empty() ? "." : parent.string());
+}
+
+Status SyncPath(const std::string& path) {
+#ifndef _WIN32
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::Internal("cannot open for fsync: " + path);
+  const int synced = ::fsync(fd);
+  ::close(fd);
+  if (synced != 0) return Status::Internal("fsync failed: " + path);
+#else
+  (void)path;
+#endif
+  return Status::Ok();
 }
 
 std::string ContentChecksum(const std::string& content) {

@@ -9,19 +9,28 @@ namespace activedp {
 
 /// Crash-safe file persistence: content is written to a temp file unique to
 /// this write (`<path>.tmp.<pid>.<n>`), flushed and fsync'd, then renamed
-/// over `path`, so a crash mid-save leaves either the old file or the new
+/// over `path`, and the parent directory is fsync'd so the rename itself
+/// survives a crash. A crash mid-save leaves either the old file or the new
 /// one — never a torn mix — and concurrent writers to one path never share
 /// a temp file. An optional checksum
 /// footer detects truncation that happens *outside* the atomic protocol
 /// (partial copies, disk corruption, fault-injected truncated writes).
 
-/// Atomically replaces `path` with `content` (tmp + fsync + rename). A
-/// failed write, fsync or rename returns non-OK and removes the temp file.
+/// Atomically replaces `path` with `content` (tmp + fsync + rename +
+/// directory fsync). A failed write, fsync or rename returns non-OK and
+/// removes the temp file; a failed directory fsync returns Internal (the
+/// rename has happened, but is not yet known to be durable).
 /// Honors the "<site>" fault site via FaultKind::kTruncateWrite (writes a
 /// truncated file non-atomically and reports success, simulating a crash)
 /// and FaultKind::kError. Pass an empty `fault_site` to opt out.
 Status AtomicWriteFile(const std::string& path, const std::string& content,
                        const std::string& fault_site = "");
+
+/// Fsyncs the file or directory at `path`: a file's contents, or a
+/// directory's entries (which is what makes a file created, renamed or
+/// removed in it survive a crash). Internal when `path` cannot be opened or
+/// synced. A no-op on platforms without fsync.
+Status SyncPath(const std::string& path);
 
 /// FNV-1a 64-bit hash of `content`, rendered as 16 hex digits.
 std::string ContentChecksum(const std::string& content);

@@ -1,8 +1,10 @@
 #include "util/atomic_file.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -66,6 +68,38 @@ TEST(AtomicWriteFileTest, FailedWriteLeavesNoTempFile) {
     ++entries;
   }
   EXPECT_EQ(entries, 1);
+}
+
+/// Permission bits bind only an unprivileged process, so a test run as root
+/// switches to "nobody" first. False when it cannot.
+bool DropRootPrivileges() {
+  if (::geteuid() != 0) return true;
+  return ::setgid(65534) == 0 && ::setuid(65534) == 0;
+}
+
+TEST(AtomicWriteFileTest, FailedDirectoryFsyncIsReported) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  namespace fs = std::filesystem;
+  const std::string dir = FreshDir("atomic_file_dir_fsync");
+  fs::permissions(dir, fs::perms::all);
+  // In a directory with write and search permission but no read
+  // permission, a process can create and rename files, but cannot open the
+  // directory to fsync it. Runs in a child, which may give up root.
+  EXPECT_EXIT(
+      {
+        const std::string locked = dir + "/write_only";
+        if (!DropRootPrivileges() || !fs::create_directory(locked)) {
+          std::_Exit(2);
+        }
+        fs::permissions(locked, fs::perms::owner_write | fs::perms::owner_exec);
+        const Status status = AtomicWriteFile(locked + "/file", "payload");
+        fs::permissions(locked, fs::perms::owner_all);
+        std::_Exit(status.code() == StatusCode::kInternal &&
+                           status.message().find("fsync") != std::string::npos
+                       ? 0
+                       : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

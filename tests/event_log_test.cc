@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -370,6 +372,58 @@ TEST(EventLogTest, RealWriteFailurePoisonsTheHandleAndKeepsTheAckedPrefix) {
     EXPECT_EQ((*events)[i].seq, i);
     EXPECT_EQ((*events)[i].row, acked_rows[i]);
   }
+}
+
+/// Permission bits bind only an unprivileged process, so a test run as root
+/// switches to "nobody" first. False when it cannot.
+bool DropRootPrivileges() {
+  if (::geteuid() != 0) return true;
+  return ::setgid(65534) == 0 && ::setuid(65534) == 0;
+}
+
+/// Two acknowledged records in a sealed segment, then an append whose new
+/// segment cannot be made durable: the log directory loses read permission,
+/// so it can still be written but not opened for fsync. Returns 0 when the
+/// append fails Internal, the handle is poisoned, and a reopened log
+/// replays exactly the acknowledged records; another code names the step
+/// that went wrong.
+int AppendWithUnsyncableDirectory(const std::string& dir) {
+  namespace fs = std::filesystem;
+  if (!DropRootPrivileges()) return 2;
+  auto log = OpenLog(dir);
+  if (!log.ok()) return 3;
+  for (int i = 0; i < 2; ++i) {
+    if (!(*log)->Append(MakeEvent(FeedbackType::kExactLabel, i, 1)).ok()) {
+      return 4;
+    }
+  }
+  if (!(*log)->Rotate().ok()) return 5;
+  fs::permissions(dir, fs::perms::owner_write | fs::perms::owner_exec);
+  const Result<uint64_t> failed =
+      (*log)->Append(MakeEvent(FeedbackType::kExactLabel, 2, 1));
+  const Result<uint64_t> after =
+      (*log)->Append(MakeEvent(FeedbackType::kExactLabel, 3, 1));
+  log->reset();
+  fs::permissions(dir, fs::perms::owner_all);
+  if (failed.ok() || failed.status().code() != StatusCode::kInternal) return 6;
+  if (after.ok() || after.status().code() != StatusCode::kUnavailable) {
+    return 7;
+  }
+  auto reopened = OpenLog(dir);
+  if (!reopened.ok() || (*reopened)->next_seq() != 2) return 8;
+  const Result<std::vector<FeedbackEvent>> events = (*reopened)->ReplayAll();
+  if (!events.ok() || events->size() != 2) return 9;
+  return 0;
+}
+
+TEST(EventLogTest, FailedDirectoryFsyncPoisonsTheHandle) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string base = FreshDir("event_log_dir_fsync");
+  std::filesystem::create_directories(base);
+  std::filesystem::permissions(base, std::filesystem::perms::all);
+  // Runs in a child, which may give up root.
+  EXPECT_EXIT(std::_Exit(AppendWithUnsyncableDirectory(base + "/log")),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(EventLogTest, InjectedReplayCorruptionIsCaughtByTheChecksum) {

@@ -81,7 +81,6 @@ class RetrainerTest : public testing::Test {
     EXPECT_TRUE(h.registry->Activate(h.base_id).ok());
     PredictionServiceOptions service_options;
     service_options.max_batch_size = 8;
-    service_options.max_batch_delay_ms = 0.2;
     h.service = std::make_unique<PredictionService>(service_options);
     h.service->LoadSnapshot(fixture_->snapshot);
     return h;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <future>
@@ -16,10 +17,38 @@
 #include "serve/serve_client.h"
 #include "serve/snapshot_export.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace activedp {
 namespace {
+
+/// One "serve.predict" latency spike: the first batch sleeps for the
+/// service's spike duration (20ms), which holds the dispatcher busy while a
+/// test queues requests behind it.
+FaultSpec OneLatencySpike() {
+  FaultSpec spec;
+  spec.kind = FaultKind::kLatencySpike;
+  spec.max_fires = 1;
+  return spec;
+}
+
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
+
+/// Observations of `histogram` in buckets that lie entirely above `ms`.
+int64_t CountAbove(const MetricsSnapshot::HistogramSample& histogram,
+                   double ms) {
+  int64_t above = 0;
+  for (size_t b = 1; b < histogram.counts.size(); ++b) {
+    if (histogram.bounds[b - 1] >= ms) above += histogram.counts[b];
+  }
+  return above;
+}
 
 /// Shared trained pipeline + two snapshots exported at different points of
 /// the run (for hot-swap tests). Training once keeps the suite fast.
@@ -67,6 +96,24 @@ class ServeTest : public ::testing::Test {
     return {.example = TrainExample(i), .deadline = deadline};
   }
 
+  /// Holds the dispatcher in one latency-spiked batch of request 0, queues
+  /// requests 1..n behind it, and returns all n + 1 replies in order.
+  static std::vector<ServeReply> ServeBehindOneSpike(PredictionService& service,
+                                                     int n) {
+    FaultScope spike("serve.predict", OneLatencySpike());
+    std::vector<std::future<ServeReply>> futures;
+    futures.push_back(service.PredictAsync(Request(0)));
+    // The queue empties once the dispatcher has taken request 0; it then
+    // sleeps in the spike while the rest queue up.
+    while (service.queue_depth() > 0) std::this_thread::yield();
+    for (int i = 1; i <= n; ++i) {
+      futures.push_back(service.PredictAsync(Request(i)));
+    }
+    std::vector<ServeReply> replies;
+    for (auto& future : futures) replies.push_back(future.get());
+    return replies;
+  }
+
   static DataSplit* split_;
   static FrameworkContext* context_;
   static std::shared_ptr<const ModelSnapshot>* snapshot_a_;
@@ -83,7 +130,6 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossBatchSizes) {
   for (int batch_size : {1, 4, 32}) {
     PredictionServiceOptions options;
     options.max_batch_size = batch_size;
-    options.max_batch_delay_ms = 0.5;
     PredictionService service(options);
     service.LoadSnapshot(*snapshot_a_);
     std::vector<std::future<ServeReply>> futures;
@@ -128,7 +174,6 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossThreadCounts) {
 TEST_F(ServeTest, HotSwapUnderLoadServesOneOfTheTwoSnapshots) {
   PredictionServiceOptions options;
   options.max_batch_size = 8;
-  options.max_batch_delay_ms = 0.2;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
 
@@ -171,13 +216,107 @@ TEST_F(ServeTest, HotSwapUnderLoadServesOneOfTheTwoSnapshots) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST_F(ServeTest, LoneRequestIsNotHeldForABatch) {
+  PredictionService service;  // default options
+  service.LoadSnapshot(*snapshot_a_);
+  constexpr int kCalls = 21;
+  std::vector<double> served_ms;
+  std::vector<double> offline_ms;
+  for (int i = 0; i < kCalls; ++i) {
+    Timer offline;
+    ASSERT_TRUE((*snapshot_a_)->Predict(TrainExample(i)).ok());
+    offline_ms.push_back(offline.ElapsedMillis());
+    Timer served;
+    ASSERT_TRUE(service.Predict(Request(i)).ok());
+    served_ms.push_back(served.ElapsedMillis());
+  }
+  // Nothing else is queued, so the idle dispatcher serves each request at
+  // once: what remains is the row's own compute (the offline time, which
+  // sanitizer builds inflate) and one thread hand-off. A batching timer
+  // would add its whole delay to every call.
+  EXPECT_LT(Median(served_ms), 1.0 + Median(offline_ms));
+}
+
+TEST_F(ServeTest, RequestsQueuedWhileBusyFormOneBatch) {
+  constexpr int kQueued = 8;
+  PredictionService service;  // max_batch_size 32 >= kQueued
+  service.LoadSnapshot(*snapshot_a_);
+  MetricsRegistry::Global().ResetAll();
+  const std::vector<ServeReply> replies = ServeBehindOneSpike(service, kQueued);
+  const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+
+  // Two batches: the spiked one holding request 0, then every request that
+  // queued behind it, taken together as soon as the dispatcher was free.
+  EXPECT_EQ(metrics.counter_value("serve.batches"), 2);
+  const MetricsSnapshot::HistogramSample* sizes =
+      metrics.FindHistogram("serve.batch_size");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count, 2);
+  EXPECT_EQ(sizes->sum, 1.0 + kQueued);
+
+  ASSERT_EQ(static_cast<int>(replies.size()), kQueued + 1);
+  for (int i = 0; i <= kQueued; ++i) {
+    ASSERT_TRUE(replies[i].ok()) << replies[i].status.ToString();
+    Result<ServedPrediction> offline = (*snapshot_a_)->Predict(TrainExample(i));
+    ASSERT_TRUE(offline.ok());
+    EXPECT_EQ(replies[i].prediction.proba, offline->proba) << "row " << i;
+    EXPECT_EQ(replies[i].prediction.label, offline->label) << "row " << i;
+    EXPECT_EQ(static_cast<int>(replies[i].prediction.source),
+              static_cast<int>(offline->source));
+  }
+}
+
+TEST_F(ServeTest, StageTimesCoverEveryServedRequest) {
+  constexpr int kQueued = 8;
+  PredictionService service;
+  service.LoadSnapshot(*snapshot_a_);
+  MetricsRegistry::Global().ResetAll();
+  const std::vector<ServeReply> replies = ServeBehindOneSpike(service, kQueued);
+  const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+  for (const ServeReply& reply : replies) ASSERT_TRUE(reply.ok());
+
+  // Every stage saw each served request exactly once.
+  for (const char* stage : {"queue", "compute", "reply"}) {
+    const MetricsSnapshot::HistogramSample* histogram =
+        metrics.FindHistogram("serve.stage_ms", {{"stage", stage}});
+    ASSERT_NE(histogram, nullptr) << stage;
+    EXPECT_EQ(histogram->count, kQueued + 1) << stage;
+  }
+  // The queued requests waited out the 20ms spike in the queue, measured
+  // per request; the spiked batch's compute stage holds the spike itself.
+  EXPECT_EQ(CountAbove(*metrics.FindHistogram("serve.stage_ms",
+                                              {{"stage", "queue"}}),
+                       10.0),
+            kQueued);
+  EXPECT_GE(CountAbove(*metrics.FindHistogram("serve.stage_ms",
+                                              {{"stage", "compute"}}),
+                       10.0),
+            1);
+
+  // The family is exactly the three bounded stage series.
+  int series = 0;
+  for (const MetricsSnapshot::HistogramSample& sample : metrics.histograms) {
+    if (sample.name != "serve.stage_ms") continue;
+    ++series;
+    ASSERT_EQ(sample.labels.size(), 1u);
+    EXPECT_EQ(sample.labels[0].first, "stage");
+    EXPECT_TRUE(sample.labels[0].second == "queue" ||
+                sample.labels[0].second == "compute" ||
+                sample.labels[0].second == "reply")
+        << sample.labels[0].second;
+  }
+  EXPECT_EQ(series, 3);
+}
+
 TEST_F(ServeTest, QueueFullReturnsUnavailable) {
   PredictionServiceOptions options;
   options.max_queue_depth = 2;
   options.max_batch_size = 64;
-  options.max_batch_delay_ms = 200.0;  // hold the batch window open
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
+  // The first batch holds the dispatcher for the spike; the flood queues up
+  // behind it.
+  FaultScope spike("serve.predict", OneLatencySpike());
   std::vector<std::future<ServeReply>> futures;
   int rejected = 0;
   for (int i = 0; i < 32; ++i) {
@@ -197,8 +336,8 @@ TEST_F(ServeTest, QueueFullReturnsUnavailable) {
       ++rejected;
     }
   }
-  // The dispatcher may drain a couple of requests between admissions, but
-  // with a 200ms window most of the flood must hit the depth limit.
+  // The dispatcher may take a couple of requests before the spike, but
+  // while it sleeps most of the flood must hit the depth limit.
   EXPECT_GT(rejected, 0);
 }
 
@@ -224,9 +363,10 @@ TEST_F(ServeTest, RequestsWithoutSnapshotAreRejected) {
 TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
   PredictionServiceOptions options;
   options.max_batch_size = 4;
-  options.max_batch_delay_ms = 50.0;
   auto service = std::make_unique<PredictionService>(options);
   service->LoadSnapshot(*snapshot_a_);
+  // A spiked first batch keeps the rest queued when Shutdown starts.
+  FaultScope spike("serve.predict", OneLatencySpike());
   std::vector<std::future<ServeReply>> futures;
   for (int i = 0; i < 16; ++i) {
     futures.push_back(service->PredictAsync(Request(i)));
@@ -245,7 +385,6 @@ TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
 TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
   PredictionServiceOptions options;
   options.max_batch_size = 64;
-  options.max_batch_delay_ms = 50.0;
   // Any warm EWMA exceeds this, so after one served batch every admission
   // sheds deterministically (the EWMA sample is floored above zero).
   options.max_queue_delay_ms = 0.0001;
@@ -280,7 +419,6 @@ TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
 TEST_F(ServeTest, DoomedDeadlinesFailFastAtAdmission) {
   PredictionServiceOptions options;
   options.max_batch_size = 64;
-  options.max_batch_delay_ms = 50.0;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
   ASSERT_TRUE(service.Predict(Request(0)).ok());  // warm the EWMA
@@ -297,7 +435,6 @@ TEST_F(ServeTest, DoomedDeadlinesFailFastAtAdmission) {
 TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
   PredictionServiceOptions options;
   options.max_batch_size = 4;
-  options.max_batch_delay_ms = 0.2;
   options.breaker_threshold = 2;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
@@ -331,7 +468,6 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
 TEST_F(ServeTest, PredictWithRetryRecoversFromTransientFaults) {
   PredictionServiceOptions options;
   options.max_batch_size = 4;
-  options.max_batch_delay_ms = 0.2;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
 
@@ -388,7 +524,6 @@ TEST_F(ServeTest, ServeReplyCarriesStructuredRejectInfo) {
 TEST_F(ServeTest, PredictWithRetryClampsBackoffToTheDeadlineBudget) {
   PredictionServiceOptions options;
   options.max_batch_size = 4;
-  options.max_batch_delay_ms = 0.2;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
 

@@ -39,8 +39,7 @@ class ShardRouterTest : public ::testing::Test {
     ServeConfigBuilder builder;
     builder.set_num_shards(num_shards)
         .set_virtual_nodes(64)
-        .set_max_batch_size(16)
-        .set_max_batch_delay_ms(0.5);
+        .set_max_batch_size(16);
     Result<ServeConfig> config = builder.Build();
     EXPECT_TRUE(config.ok()) << config.status().ToString();
     return *config;
@@ -220,15 +219,19 @@ TEST_F(ShardRouterTest, OneTenantsOverloadNeverShedsAnother) {
 
 TEST_F(ShardRouterTest, TenantQuotaRejectsWithStructuredInfo) {
   ServeConfig config = FastConfig(1);
-  // Hold the micro-batch window open so the first request is still in
-  // flight when the second arrives.
   config.service.max_batch_size = 64;
-  config.service.max_batch_delay_ms = 200.0;
   ShardRouter router(config);
   TenantLimits one;
   one.max_in_flight = 1;
   ASSERT_TRUE(router.AddTenant("capped", one).ok());
   ASSERT_TRUE(router.SetTenantSnapshot("capped", fixture_->snapshot_a).ok());
+
+  // One latency-spiked batch (20ms) keeps the first request in flight while
+  // the next ones arrive.
+  FaultSpec spike;
+  spike.kind = FaultKind::kLatencySpike;
+  spike.max_fires = 1;
+  FaultScope spike_scope("serve.predict", spike);
 
   std::future<ServeReply> first = router.PredictAsync(TenantRequest("capped", 0));
   const ServeReply second = router.Predict(TenantRequest("capped", 1));
