@@ -7,9 +7,9 @@
 //
 // Determinism is asserted unconditionally: every
 // served prediction is digested (FNV-1a over raw double bit patterns) and
-// compared against the offline ConFusion aggregation, sweeping batch sizes
-// and compute-pool thread counts, plus a hot-swap-under-load pass where
-// each response must bitwise match one of the two published snapshots.
+// compared against the offline ConFusion aggregation, sweeping batch sizes,
+// plus a hot-swap-under-load pass where each response must bitwise match
+// one of the two published snapshots.
 // Any mismatch fails the run with exit code 1.
 //
 //   ./build/bench/serve_bench --requests=2000 --clients=8 --rate=4000
@@ -65,7 +65,6 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -252,8 +251,7 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
   return result;
 }
 
-/// Served digest over the first `n` training rows at one (batch size,
-/// thread count) configuration.
+/// Served digest over the first `n` training rows at one batch size.
 uint64_t ServedDigest(const std::shared_ptr<const ModelSnapshot>& snapshot,
                       const Dataset& train, int n, int batch_size) {
   PredictionServiceOptions options;
@@ -587,7 +585,6 @@ int RunMultiTenantStorm(FlagParser& flags) {
 
   // Fixture: two snapshots (A early, B later) saved to disk for the tenant
   // registries, plus the offline per-row digests both gates compare against.
-  SetComputePoolThreads(1);
   const int kTraceRows = 64;
   Result<ServeChaosFixture> built = BuildServeChaosFixture(
       trace_dir + "/serve-mt-fixture", "youtube", flags.GetDouble("scale"),
@@ -922,7 +919,6 @@ int RunMultiTenantStorm(FlagParser& flags) {
   out << "}\n";
   out.close();
 
-  SetComputePoolThreads(1);
   std::printf("wrote %s (%d tenants / %d shards, %zu requests, "
               "thread_independent: %s, incidents: %d, passed: %s)\n",
               flags.GetString("out").c_str(), num_tenants, num_shards,
@@ -939,8 +935,6 @@ int Main(int argc, char** argv) {
   flags.AddFlag("clients", "4", "closed-loop client threads");
   flags.AddFlag("rate", "2000", "open-loop arrival rate (requests/second)");
   flags.AddFlag("batch", "32", "service max batch size for the load phases");
-  flags.AddFlag("threads", "", "comma-separated compute-pool widths for the "
-                               "determinism sweep (default: 1,<hardware>)");
   flags.AddFlag("out", "BENCH_serving.json", "JSON report path");
   flags.AddFlag("seed", "7", "dataset split / pipeline seed");
   flags.AddFlag("tenants", "0", "run the multi-tenant ShardRouter storm with "
@@ -963,18 +957,6 @@ int Main(int argc, char** argv) {
   }
   if (flags.help_requested()) return 0;
   if (flags.GetInt("tenants") > 0) return RunMultiTenantStorm(flags);
-
-  std::vector<int> thread_counts;
-  if (flags.GetString("threads").empty()) {
-    const int hw = std::max(1u, std::thread::hardware_concurrency());
-    thread_counts = {1};
-    if (hw > 1) thread_counts.push_back(hw);
-  } else {
-    for (const std::string& part : Split(flags.GetString("threads"), ',')) {
-      if (!part.empty()) thread_counts.push_back(std::stoi(part));
-    }
-  }
-  CHECK(!thread_counts.empty());
 
   // -- Train a pipeline and export two snapshots (A mid-run, B later) -----
   const int seed = flags.GetInt("seed");
@@ -1022,8 +1004,7 @@ int Main(int argc, char** argv) {
             << snapshot_a->feature_dim() << ", train " << train.size();
 
   // -- Determinism gate ---------------------------------------------------
-  // Reference digest: single-row offline predictions, serial pool.
-  SetComputePoolThreads(1);
+  // Reference digest: single-row offline predictions.
   const int gate_rows = std::min(train.size(), 96);
   BitHasher reference;
   for (int i = 0; i < gate_rows; ++i) {
@@ -1039,25 +1020,21 @@ int Main(int argc, char** argv) {
 
   bool deterministic = true;
   int configs_checked = 0;
-  for (int threads : thread_counts) {
-    SetComputePoolThreads(threads);
-    for (int batch_size : {1, 8, 32}) {
-      const uint64_t digest =
-          ServedDigest(snapshot_a, train, gate_rows, batch_size);
-      ++configs_checked;
-      if (digest != reference.digest()) {
-        deterministic = false;
-        std::fprintf(stderr,
-                     "FAIL: served digest differs at threads=%d batch=%d "
-                     "(%s vs offline %s)\n",
-                     threads, batch_size, HexDigest(digest).c_str(),
-                     HexDigest(reference.digest()).c_str());
-      }
+  for (int batch_size : {1, 8, 32}) {
+    const uint64_t digest =
+        ServedDigest(snapshot_a, train, gate_rows, batch_size);
+    ++configs_checked;
+    if (digest != reference.digest()) {
+      deterministic = false;
+      std::fprintf(stderr,
+                   "FAIL: served digest differs at batch=%d (%s vs offline "
+                   "%s)\n",
+                   batch_size, HexDigest(digest).c_str(),
+                   HexDigest(reference.digest()).c_str());
     }
   }
 
-  // Hot swap under full load on the widest pool.
-  SetComputePoolThreads(thread_counts.back());
+  // Hot swap under full load.
   const int hot_swap_requests = std::min(flags.GetInt("requests"), 400);
   const int hot_swap_mismatches =
       RunHotSwapGate(snapshot_a, snapshot_b, train, hot_swap_requests,
@@ -1114,7 +1091,6 @@ int Main(int argc, char** argv) {
   service.Shutdown();
   service.AttachSloEngine(nullptr);
   FlightRecorder::Global().Disable();
-  SetComputePoolThreads(1);
 
   // Clean-run incident gate: no breaker trip, shed burst, or deadline storm
   // should have fired, so the dump root must be empty.

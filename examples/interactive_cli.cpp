@@ -47,8 +47,6 @@ class Session {
   int NextQuery() {
     SamplerContext ctx;
     ctx.train = &split_->train;
-    ctx.features = &context_.train_features;
-    ctx.feature_dim = context_.feature_dim;
     ctx.lm_proba = lm_ready_ ? &lm_proba_ : nullptr;
     ctx.lm_active = lm_ready_ ? &lm_active_ : nullptr;
     ctx.queried = &queried_;

@@ -3,15 +3,15 @@
 #   1. tier-1 build + ctest (the suite every PR must keep green)
 #   2. the observability suite (ctest -L trace: tracer, metrics, log sink)
 #   3. the same suite under the ASan+UBSan preset
-#   4. the thread-pool, parallel-stage and observability tests under TSan
+#   4. the thread-pool, pipeline and observability tests under TSan
 #      (-DACTIVEDP_SANITIZE=thread), which is what certifies the
-#      batch-scoped pool, the chunked reductions, the label matrix's lazily
-#      built row view and pair-moment store (read by parallel label-model
-#      fits), and the tracer / metrics / retry-log write paths race-free
+#      batch-scoped pool and its per-seed fan-out, the serving dispatchers
+#      and router, the label matrix's lazily built row view and pair-moment
+#      store, and the tracer / metrics / retry-log write paths race-free
 #   5. the serving suite (ctest -L serve: snapshot export/IO round-trips,
 #      the batched prediction service, and the serve_bench smoke run, whose
 #      determinism gate asserts served == offline bitwise across batch
-#      sizes, thread counts and a mid-load hot swap; BENCH_serving.json is
+#      sizes and a mid-load hot swap; BENCH_serving.json is
 #      archived to bench-archive/)
 #   6. the pipeline chaos matrix (bench/chaos_matrix --matrix=pipeline:
 #      fault sites x kinds x seeds through the offline pipeline, with fault

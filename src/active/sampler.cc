@@ -1,10 +1,8 @@
 #include "active/sampler.h"
 
 #include "active/adp.h"
-#include "active/coreset.h"
 #include "active/lal.h"
 #include "active/passive.h"
-#include "active/qbc.h"
 #include "active/seu.h"
 #include "active/uncertainty.h"
 #include "util/check.h"
@@ -41,10 +39,6 @@ std::unique_ptr<Sampler> MakeSampler(SamplerType type, uint64_t seed) {
       return std::make_unique<SeuSampler>();
     case SamplerType::kAdp:
       return std::make_unique<AdpSampler>();
-    case SamplerType::kQbc:
-      return std::make_unique<QbcSampler>();
-    case SamplerType::kCoreset:
-      return std::make_unique<CoresetSampler>();
   }
   return std::make_unique<AdpSampler>();
 }
@@ -55,8 +49,6 @@ SamplerType ParseSamplerType(const std::string& name) {
   if (lower == "us" || lower == "uncertainty") return SamplerType::kUncertainty;
   if (lower == "lal") return SamplerType::kLal;
   if (lower == "seu") return SamplerType::kSeu;
-  if (lower == "qbc") return SamplerType::kQbc;
-  if (lower == "coreset") return SamplerType::kCoreset;
   return SamplerType::kAdp;
 }
 

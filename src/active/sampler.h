@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "data/example.h"
 #include "lf/lf_candidates.h"
 #include "util/rng.h"
 
@@ -18,9 +17,6 @@ namespace activedp {
 /// gracefully (typically to random selection).
 struct SamplerContext {
   const Dataset* train = nullptr;
-  /// Featurized training set (aligned with train) and its dimension.
-  const std::vector<SparseVector>* features = nullptr;
-  int feature_dim = 0;
   /// Active-learning model probabilities per training row, or null.
   const std::vector<std::vector<double>>* al_proba = nullptr;
   /// Label-model probabilities per training row (prior on uncovered rows),
@@ -36,10 +32,6 @@ struct SamplerContext {
   /// Fraction of the pseudo-labelled set carrying class 1 (LAL state
   /// feature; 0.5 when nothing is labelled).
   double labeled_positive_fraction = 0.5;
-  /// The pseudo-labelled set itself (row indices into train and their
-  /// labels), or null. Needed by committee-based samplers.
-  const std::vector<int>* labeled_rows = nullptr;
-  const std::vector<int>* labeled_values = nullptr;
   /// Candidate-LF space (needed by SEU), or null.
   const LfSpace* lf_space = nullptr;
   /// ADP trade-off factor α of Eq. 2 (0.5 text, 0.99 tabular in §3.3).
@@ -56,24 +48,18 @@ class Sampler {
   virtual int SelectQuery(const SamplerContext& context, Rng& rng) = 0;
 };
 
-/// kQbc and kCoreset are extensions beyond the paper's Table 4 line-up,
-/// implementing the query-by-committee [31] and core-set [27] strategies
-/// its related-work section surveys.
 enum class SamplerType {
   kPassive,
   kUncertainty,
   kLal,
   kSeu,
   kAdp,
-  kQbc,
-  kCoreset,
 };
 
 /// Factory. LAL performs its offline meta-training at construction.
 std::unique_ptr<Sampler> MakeSampler(SamplerType type, uint64_t seed = 29);
 
-/// Parses "passive" / "us" / "lal" / "seu" / "adp" / "qbc" / "coreset";
-/// defaults to kAdp.
+/// Parses "passive" / "us" / "lal" / "seu" / "adp"; defaults to kAdp.
 SamplerType ParseSamplerType(const std::string& name);
 
 namespace internal {

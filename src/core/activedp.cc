@@ -43,10 +43,6 @@ ActiveDp::ActiveDp(const FrameworkContext& context, ActiveDpOptions options)
 SamplerContext ActiveDp::BuildSamplerContext() const {
   SamplerContext ctx;
   ctx.train = &context_->split->train;
-  ctx.features = &context_->train_features;
-  ctx.feature_dim = context_->feature_dim;
-  ctx.labeled_rows = &query_indices_;
-  ctx.labeled_values = &pseudo_labels_;
   ctx.al_proba = al_model_.has_value() ? &al_proba_train_ : nullptr;
   ctx.lm_proba = label_model_ready_ ? &lm_proba_train_ : nullptr;
   ctx.lm_active = label_model_ready_ ? &lm_active_train_ : nullptr;

@@ -24,7 +24,6 @@ NemoFramework::NemoFramework(const FrameworkContext& context,
 Status NemoFramework::Step() {
   SamplerContext ctx;
   ctx.train = &context_->split->train;
-  ctx.features = &context_->train_features;
   ctx.lm_proba = label_model_ready_ ? &lm_proba_train_ : nullptr;
   ctx.lm_active = label_model_ready_ ? &lm_active_train_ : nullptr;
   ctx.queried = &queried_;

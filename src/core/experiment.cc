@@ -189,7 +189,6 @@ RunResult RunProtocol(InteractiveFramework& framework,
 
 Result<RunResult> RunExperiment(const ExperimentSpec& spec) {
   CHECK_GT(spec.num_seeds, 0);
-  if (spec.compute_threads > 0) SetComputePoolThreads(spec.compute_threads);
 
   // Arm the tracer for this experiment when a trace sink was requested.
   // Metrics are reset alongside so the written snapshot covers this run

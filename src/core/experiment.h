@@ -92,16 +92,8 @@ struct ExperimentSpec {
   uint64_t base_seed = 1;
   /// Seeds are independent; > 1 runs them on a thread pool. Results are
   /// identical to the serial run (every seed is self-contained and
-  /// deterministic).
+  /// deterministic). The stages inside a seed run inline on its thread.
   int num_threads = 1;
-  /// When > 0, reconfigures the process-wide compute pool (see
-  /// util/thread_pool.h: ComputePool) that the data-parallel stages inside
-  /// each seed draw from: LF application, TF-IDF, matrix products,
-  /// label-model fits, graphical lasso. Stage results are bitwise
-  /// independent of this knob; 0 leaves the current configuration alone.
-  /// Note the two axes multiply — `num_threads` seeds each fanning out onto
-  /// `compute_threads` workers oversubscribes small machines.
-  int compute_threads = 0;
   /// Shared robustness/observability policy (see core/run_policy.h). At
   /// this level `policy.checkpoint_path` is a *directory*: each seed
   /// checkpoints its run to `<dir>/<dataset>-<framework>-seed<k>.ckpt` so a

@@ -43,12 +43,6 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::SeedThreads(int num_threads) {
   return *this;
 }
 
-ExperimentSpecBuilder& ExperimentSpecBuilder::ComputeThreads(
-    int compute_threads) {
-  spec_.compute_threads = compute_threads;
-  return *this;
-}
-
 ExperimentSpecBuilder& ExperimentSpecBuilder::DataScale(double scale) {
   spec_.data_scale = scale;
   return *this;
@@ -110,8 +104,6 @@ void ExperimentSpecBuilder::RegisterCommonFlags(
   flags.AddFlag("eval-every", "10", "checkpoint spacing");
   flags.AddFlag("seeds", "2", "number of random seeds");
   flags.AddFlag("threads", "1", "worker threads for parallel seeds");
-  flags.AddFlag("compute-threads", "0",
-                "process-wide compute pool size (0 = leave unchanged)");
   flags.AddFlag("scale", default_scale, "fraction of paper dataset sizes");
   flags.AddFlag("full", "false", "paper scale: 300 iters, 5 seeds, scale 1.0");
 }
@@ -123,7 +115,6 @@ ExperimentSpecBuilder ExperimentSpecBuilder::FromFlags(
       .EvalEvery(flags.GetInt("eval-every"))
       .Seeds(flags.GetInt("seeds"))
       .SeedThreads(flags.GetInt("threads"))
-      .ComputeThreads(flags.GetInt("compute-threads"))
       .DataScale(flags.GetDouble("scale"));
   if (flags.GetBool("full")) builder.PaperScale();
   return builder;

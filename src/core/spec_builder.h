@@ -36,7 +36,6 @@ class ExperimentSpecBuilder {
   ExperimentSpecBuilder& Seeds(int num_seeds);
   ExperimentSpecBuilder& BaseSeed(uint64_t base_seed);
   ExperimentSpecBuilder& SeedThreads(int num_threads);
-  ExperimentSpecBuilder& ComputeThreads(int compute_threads);
   ExperimentSpecBuilder& DataScale(double scale);
   ExperimentSpecBuilder& Sampler(SamplerType sampler);
   ExperimentSpecBuilder& LabelModel(LabelModelType label_model);
@@ -58,8 +57,8 @@ class ExperimentSpecBuilder {
   ExperimentSpec& spec() { return spec_; }
 
   /// Registers the protocol flags shared by every bench binary:
-  /// --iterations, --eval-every, --seeds, --threads, --compute-threads,
-  /// --scale and --full. Call before FlagParser::Parse.
+  /// --iterations, --eval-every, --seeds, --threads, --scale and --full.
+  /// Call before FlagParser::Parse.
   static void RegisterCommonFlags(FlagParser& flags,
                                   const std::string& default_scale = "0.25");
   /// A builder preloaded from those flags (--full applies PaperScale()).

@@ -9,7 +9,6 @@
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
@@ -76,50 +75,35 @@ Result<GraphicalLassoResult> GraphicalLasso(
                         std::to_string(last_max_change) + ")");
     }
     double max_change = 0.0;
-    // The column sweep itself is inherently sequential (each column update
-    // reads the W produced by the previous one), but within a column the
-    // partition copy and the w12 = W11 * beta residual update are
-    // row-partitioned: every output row is written by one chunk with a
-    // serial inner dot, so the sweep is bitwise identical at any thread
-    // count. Small problems run inline (ComputePool chunking threshold).
-    ThreadPool* const pool = p >= 64 ? ComputePool() : nullptr;
-    const int row_grain = BoundedGrain(p - 1, 16, 64);
+    // The column sweep is inherently sequential: each column update reads
+    // the W produced by the previous one. The budget is checked per column.
     std::vector<double> w12_new(p - 1);
     for (int col = 0; col < p; ++col) {
+      RETURN_IF_ERROR(options.limits.Check("glasso.solve"));
       // Partition: w11 = W without row/col `col`; s12 = S column `col`.
       // Each source row splits into two contiguous memcpy segments around
       // the dropped column — cache-blocked and branch-free per element.
-      RETURN_IF_ERROR(ParallelForChunks(
-          pool, p - 1, row_grain, options.limits, "glasso.solve",
-          [&](int /*chunk*/, int begin, int end) {
-            for (int ii = begin; ii < end; ++ii) {
-              const int i = ii < col ? ii : ii + 1;
-              const double* src = w.RowPtr(i);
-              double* dst = w11.RowPtr(ii);
-              if (col > 0) {
-                std::memcpy(dst, src, sizeof(double) * col);
-              }
-              if (col < p - 1) {
-                std::memcpy(dst + col, src + col + 1,
-                            sizeof(double) * (p - 1 - col));
-              }
-              s12[ii] = s(i, col);
-            }
-          }));
+      for (int ii = 0; ii < p - 1; ++ii) {
+        const int i = ii < col ? ii : ii + 1;
+        const double* src = w.RowPtr(i);
+        double* dst = w11.RowPtr(ii);
+        if (col > 0) {
+          std::memcpy(dst, src, sizeof(double) * col);
+        }
+        if (col < p - 1) {
+          std::memcpy(dst + col, src + col + 1, sizeof(double) * (p - 1 - col));
+        }
+        s12[ii] = s(i, col);
+      }
 
       std::vector<double> beta =
           LassoQuadratic(w11, s12, options.rho, options.lasso_max_iterations,
                          options.lasso_tolerance);
-      // w12 = W11 * beta, row-partitioned into w12_new (no aliasing with the
-      // w11 reads), then applied serially together with the convergence gap.
-      RETURN_IF_ERROR(ParallelForChunks(
-          pool, p - 1, row_grain, options.limits, "glasso.solve",
-          [&](int /*chunk*/, int begin, int end) {
-            for (int ii = begin; ii < end; ++ii) {
-              w12_new[ii] =
-                  kernels::DotDense(w11.RowPtr(ii), beta.data(), p - 1);
-            }
-          }));
+      // w12 = W11 * beta into w12_new (no aliasing with the w11 reads), then
+      // applied together with the convergence gap.
+      for (int ii = 0; ii < p - 1; ++ii) {
+        w12_new[ii] = kernels::DotDense(w11.RowPtr(ii), beta.data(), p - 1);
+      }
       for (int ii = 0; ii < p - 1; ++ii) {
         const int i = ii < col ? ii : ii + 1;
         max_change = std::max(max_change, std::fabs(w(i, col) - w12_new[ii]));

@@ -7,43 +7,9 @@
 #include "labelmodel/metal_model.h"
 #include "math/vector_ops.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
-namespace {
-
-/// Shared chunked driver for the batch prediction paths. Rows are
-/// independent (PredictProba is const and models hold no mutable state), so
-/// per-row outputs are bitwise identical at any thread count. Error
-/// reporting is deterministic: every chunk records its first failing row and
-/// the lowest failing row overall wins, matching the serial "first row error
-/// wins" contract.
-Status PredictRows(int num_rows,
-                   const std::function<Status(int row)>& predict_row) {
-  const int grain = BoundedGrain(num_rows, 256, 1024);
-  const int chunks = NumChunks(num_rows, grain);
-  std::vector<std::pair<int, Status>> first_error(
-      chunks, {num_rows, Status::Ok()});
-  RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), num_rows, grain, RunLimits::Unlimited(),
-      "labelmodel.predict", [&](int chunk, int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          Status status = predict_row(i);
-          if (!status.ok()) {
-            first_error[chunk] = {i, std::move(status)};
-            return;
-          }
-        }
-      }));
-  for (const auto& [row, status] : first_error) {
-    if (!status.ok()) return status;
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Result<std::string> LabelModel::SerializeParams() const {
   return Status::Unimplemented("label model '" + name() +
                                "' has no serializable parameter form");
@@ -64,18 +30,15 @@ Result<std::vector<double>> LabelModel::PredictProbaSparse(
 
 Result<std::vector<std::vector<double>>> LabelModel::PredictProbaAll(
     const LabelMatrix& matrix) const {
-  // Span at the caller level; the chunked per-row work below may run on
-  // compute-pool workers, which must stay trace-silent (determinism).
   TraceSpan span("labelmodel.predict_all");
   span.AddArg("rows", matrix.num_rows());
-  matrix.EnsureRows();  // build the CSR view before the parallel region
+  matrix.EnsureRows();
   const int num_cols = matrix.num_cols();
   std::vector<std::vector<double>> out(matrix.num_rows());
-  RETURN_IF_ERROR(PredictRows(matrix.num_rows(), [&](int i) -> Status {
+  for (int i = 0; i < matrix.num_rows(); ++i) {
     ASSIGN_OR_RETURN(out[i],
                      PredictProbaSparse(matrix.ActiveRow(i), num_cols));
-    return Status::Ok();
-  }));
+  }
   return out;
 }
 
@@ -83,16 +46,15 @@ Result<std::vector<int>> LabelModel::PredictAll(
     const LabelMatrix& matrix) const {
   TraceSpan span("labelmodel.predict_all");
   span.AddArg("rows", matrix.num_rows());
-  matrix.EnsureRows();  // build the CSR view before the parallel region
+  matrix.EnsureRows();
   const int num_cols = matrix.num_cols();
   std::vector<int> out(matrix.num_rows(), kAbstain);
-  RETURN_IF_ERROR(PredictRows(matrix.num_rows(), [&](int i) -> Status {
-    if (!matrix.AnyActive(i)) return Status::Ok();  // keep kAbstain, O(1)
+  for (int i = 0; i < matrix.num_rows(); ++i) {
+    if (!matrix.AnyActive(i)) continue;  // keep kAbstain, O(1)
     ASSIGN_OR_RETURN(std::vector<double> proba,
                      PredictProbaSparse(matrix.ActiveRow(i), num_cols));
     out[i] = ArgMax(proba);
-    return Status::Ok();
-  }));
+  }
   return out;
 }
 

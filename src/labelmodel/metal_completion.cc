@@ -9,7 +9,6 @@
 #include "math/matrix.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
@@ -42,48 +41,28 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   fallback_.reset();
 
   // Spin means, coverages and class balance via majority vote, row-driven
-  // off the matrix's CSR view (O(nnz) instead of O(n m)). Chunked over
-  // rows with per-chunk partial sums combined in chunk order; every term is
-  // a spin in {-1, +1} or a count, so the sums are exact integers and the
-  // result is bitwise identical at any thread count.
-  // Read before the parallel region: a first request builds the row view
-  // and the store.
+  // off the matrix's CSR view (O(nnz) instead of O(n m)). Every term is a
+  // spin in {-1, +1} or a count, so the sums are exact integers.
   const SpinPairMoments& moments = matrix.PairMoments();
-  const int grain = BoundedGrain(n, 1024, 64);
-  const int chunks = NumChunks(n, grain);
-  std::vector<std::vector<double>> mean_part(chunks), coverage_part(chunks);
-  std::vector<double> mv_positive_part(chunks, 0.0), mv_total_part(chunks, 0.0);
-  RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), n, grain, options_.limits, "metal.completion",
-      [&](int chunk, int begin, int end) {
-        std::vector<double>& pmean = mean_part[chunk];
-        std::vector<double>& pcov = coverage_part[chunk];
-        pmean.assign(m, 0.0);
-        pcov.assign(m, 0.0);
-        for (int i = begin; i < end; ++i) {
-          const ActiveRowView row = matrix.ActiveRow(i);
-          double vote = 0.0;
-          for (int k = 0; k < row.nnz; ++k) {
-            const double s = row.labels[k] == 1 ? 1.0 : -1.0;
-            pmean[row.cols[k]] += s;
-            pcov[row.cols[k]] += 1.0;
-            vote += s;
-          }
-          if (vote != 0.0) {
-            mv_total_part[chunk] += 1.0;
-            if (vote > 0.0) mv_positive_part[chunk] += 1.0;
-          }
-        }
-      }));
   std::vector<double> mean(m, 0.0), coverage(m, 0.0);
   double mv_positive = 1.0, mv_total = 2.0;  // Laplace
-  for (int c = 0; c < chunks; ++c) {
-    for (int j = 0; j < m; ++j) {
-      mean[j] += mean_part[c][j];
-      coverage[j] += coverage_part[c][j];
+  for (int begin = 0; begin < n; begin += kRowsPerLimitCheck) {
+    RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
+    const int end = std::min(n, begin + kRowsPerLimitCheck);
+    for (int i = begin; i < end; ++i) {
+      const ActiveRowView row = matrix.ActiveRow(i);
+      double vote = 0.0;
+      for (int k = 0; k < row.nnz; ++k) {
+        const double s = row.labels[k] == 1 ? 1.0 : -1.0;
+        mean[row.cols[k]] += s;
+        coverage[row.cols[k]] += 1.0;
+        vote += s;
+      }
+      if (vote != 0.0) {
+        mv_total += 1.0;
+        if (vote > 0.0) mv_positive += 1.0;
+      }
     }
-    mv_positive += mv_positive_part[c];
-    mv_total += mv_total_part[c];
   }
   for (int j = 0; j < m; ++j) {
     mean[j] /= n;
@@ -98,8 +77,8 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   // label matrix's pair-moment store holds (PairMoments().Sum):
   //   Σ(j, k) = P(j, k) / n − mean_j · mean_k.
   // This is the textbook expansion of Σ_i (s_ij − m_j)(s_ik − m_k) / n.
-  // Every entry of P is an exact integer, so Σ is bitwise identical at any
-  // thread count and however the store was built.
+  // Every entry of P is an exact integer, so Σ is bitwise identical however
+  // the store was built.
   RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
   Matrix sigma(m, m);
   for (int j = 0; j < m; ++j) {
@@ -138,26 +117,16 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   // grad_i = 4 * sum_{j != i} (K_ij + z_i z_j) z_j, split into vectorized
   // dots plus diagonal corrections:
   //   sum_j K_ij z_j − K_ii z_i + z_i (z·z − z_i^2).
-  // Both dots use the canonical 4-lane kernel, so each grad[i] is a fixed
-  // association independent of the thread count. Small
-  // systems stay serial: the launch would cost more than the sweep.
-  ThreadPool* const gd_pool = m >= 64 ? ComputePool() : nullptr;
-  const int gd_grain = BoundedGrain(m, 16, 64);
+  // Both dots use the canonical 4-lane kernel.
   for (int iter = 0; iter < options_.gd_iterations; ++iter) {
     if ((iter & 31) == 0)
       RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
     const double zz = kernels::DotDense(z.data(), z.data(), m);
-    const Status gd_status = ParallelForChunks(
-        gd_pool, m, gd_grain, RunLimits::Unlimited(), "metal.completion",
-        [&](int /*chunk*/, int begin, int end) {
-          for (int i = begin; i < end; ++i) {
-            const double g =
-                kernels::DotDense(k_matrix.RowPtr(i), z.data(), m) -
-                k_matrix(i, i) * z[i] + z[i] * (zz - z[i] * z[i]);
-            grad[i] = 4.0 * g;
-          }
-        });
-    CHECK(gd_status.ok());  // unlimited budget: Check can never trip
+    for (int i = 0; i < m; ++i) {
+      const double g = kernels::DotDense(k_matrix.RowPtr(i), z.data(), m) -
+                       k_matrix(i, i) * z[i] + z[i] * (zz - z[i] * z[i]);
+      grad[i] = 4.0 * g;
+    }
     for (int i = 0; i < m; ++i) {
       z[i] = std::clamp(z[i] - step * grad[i], -100.0, 100.0);
     }

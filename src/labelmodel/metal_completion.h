@@ -23,7 +23,8 @@ struct MetalCompletionOptions {
   /// off-diagonal system has too few equations) and the model delegates to
   /// the robust triplet estimator (MetalModel).
   int min_lfs_for_completion = 8;
-  /// Checked per chunk inside the row scans and covariance build; trips as
+  /// Checked every kRowsPerLimitCheck rows of the row scan, before the
+  /// covariance build and every 32 descent steps; trips as
   /// DeadlineExceeded / Cancelled. Propagated into the triplet fallback.
   RunLimits limits;
 };

@@ -12,7 +12,6 @@
 #include "util/numeric_guard.h"
 #include "util/rng.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
@@ -47,8 +46,7 @@ Status MetalModel::Fit(const LabelMatrix& matrix, int num_classes) {
 
   // Pairwise moments come from the matrix's pair-moment store, which is
   // maintained as LF columns are appended (and inherited by SelectColumns),
-  // so a fit does no pairwise pass of its own. Read it before the parallel
-  // region: a first request builds it.
+  // so a fit does no pairwise pass of its own.
   const SpinPairMoments& moments = matrix.PairMoments();
   auto moment = [&](int i, int j, double* out) {
     const int count = moments.Count(i, j);
@@ -60,51 +58,32 @@ Status MetalModel::Fit(const LabelMatrix& matrix, int num_classes) {
   // One row-driven pass off the CSR view (O(nnz)): each row's majority-vote
   // spin, the class balance it implies, and the agreement-with-majority-vote
   // fallback accuracies. Every term is ±1 or a count, so the pass sums
-  // integers, per chunk and then in chunk order: the result is exact and
-  // bitwise identical at any thread count.
-  const int grain = BoundedGrain(n, 1024, 32);
-  const int chunks = NumChunks(n, grain);
-  std::vector<std::vector<int32_t>> agree_part(chunks), count_part(chunks);
-  std::vector<int32_t> pos_part(chunks, 0), voted_part(chunks, 0);
-  RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), n, grain, options_.limits, "metal.fit",
-      [&](int chunk, int begin, int end) {
-        std::vector<int32_t>& agree = agree_part[chunk];
-        std::vector<int32_t>& count = count_part[chunk];
-        agree.assign(m, 0);
-        count.assign(m, 0);
-        for (int i = begin; i < end; ++i) {
-          const ActiveRowView row = matrix.ActiveRow(i);
-          int vote = 0;
-          for (int k = 0; k < row.nnz; ++k) vote += row.labels[k] == 1 ? 1 : -1;
-          if (vote == 0) continue;
-          const int mv_spin = vote > 0 ? 1 : -1;
-          ++voted_part[chunk];
-          if (mv_spin > 0) ++pos_part[chunk];
-          for (int k = 0; k < row.nnz; ++k) {
-            ++count[row.cols[k]];
-            agree[row.cols[k]] += row.labels[k] == 1 ? mv_spin : -mv_spin;
-          }
-        }
-      }));
+  // integers and is exact. The sums are bounded by n, so int32 holds them.
+  std::vector<int32_t> agree(m, 0), count(m, 0);
+  int32_t pos_votes = 0, voted = 0;
+  for (int begin = 0; begin < n; begin += kRowsPerLimitCheck) {
+    RETURN_IF_ERROR(options_.limits.Check("metal.fit"));
+    const int end = std::min(n, begin + kRowsPerLimitCheck);
+    for (int i = begin; i < end; ++i) {
+      const ActiveRowView row = matrix.ActiveRow(i);
+      int vote = 0;
+      for (int k = 0; k < row.nnz; ++k) vote += row.labels[k] == 1 ? 1 : -1;
+      if (vote == 0) continue;
+      const int mv_spin = vote > 0 ? 1 : -1;
+      ++voted;
+      if (mv_spin > 0) ++pos_votes;
+      for (int k = 0; k < row.nnz; ++k) {
+        ++count[row.cols[k]];
+        agree[row.cols[k]] += row.labels[k] == 1 ? mv_spin : -mv_spin;
+      }
+    }
+  }
   // Class balance from majority vote, Laplace-smoothed.
-  double pos = 1.0, total = 2.0;
+  const double pos = 1.0 + static_cast<double>(pos_votes);
+  const double total = 2.0 + static_cast<double>(voted);
   std::vector<double> fallback(m, 0.5);
-  {
-    std::vector<int64_t> agree(m, 0), count(m, 0);
-    for (int c = 0; c < chunks; ++c) {
-      pos += pos_part[c];
-      total += voted_part[c];
-      for (int j = 0; j < m; ++j) {
-        agree[j] += agree_part[c][j];
-        count[j] += count_part[c][j];
-      }
-    }
-    for (int j = 0; j < m; ++j) {
-      if (count[j] > 0) {
-        fallback[j] = static_cast<double>(agree[j]) / count[j];
-      }
-    }
+  for (int j = 0; j < m; ++j) {
+    if (count[j] > 0) fallback[j] = static_cast<double>(agree[j]) / count[j];
   }
   positive_prior_ = pos / total;
 

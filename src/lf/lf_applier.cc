@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
@@ -316,16 +315,9 @@ double LabelMatrix::OverallCoverage() const {
 std::vector<int8_t> ApplyLf(const LabelFunction& lf, const Dataset& dataset) {
   const int n = dataset.size();
   std::vector<int8_t> out(n);
-  // Row-partitioned: every entry is written by exactly one chunk, so the
-  // matrix is bitwise identical at any thread count.
-  const Status status = ParallelForChunks(
-      ComputePool(), n, BoundedGrain(n, 256, 1024), RunLimits::Unlimited(),
-      "lf.apply", [&](int /*chunk*/, int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          out[i] = static_cast<int8_t>(lf.Apply(dataset.example(i)));
-        }
-      });
-  CHECK(status.ok());  // unlimited budget: Check can never trip
+  for (int i = 0; i < n; ++i) {
+    out[i] = static_cast<int8_t>(lf.Apply(dataset.example(i)));
+  }
   return out;
 }
 
@@ -347,19 +339,14 @@ LabelMatrix ApplyKeywordLfs(const std::vector<LfPtr>& lfs,
   }
   std::vector<std::vector<int8_t>> cols(
       m, std::vector<int8_t>(n, static_cast<int8_t>(kAbstain)));
-  const Status status = ParallelForChunks(
-      ComputePool(), n, BoundedGrain(n, 256, 1024), RunLimits::Unlimited(),
-      "lf.apply", [&](int /*chunk*/, int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          for (const auto& [token, count] : dataset.example(i).term_counts) {
-            (void)count;  // presence decides, matching Example::HasToken
-            const auto it = by_token.find(token);
-            if (it == by_token.end()) continue;
-            for (const auto& [col, label] : it->second) cols[col][i] = label;
-          }
-        }
-      });
-  CHECK(status.ok());
+  for (int i = 0; i < n; ++i) {
+    for (const auto& [token, count] : dataset.example(i).term_counts) {
+      (void)count;  // presence decides, matching Example::HasToken
+      const auto it = by_token.find(token);
+      if (it == by_token.end()) continue;
+      for (const auto& [col, label] : it->second) cols[col][i] = label;
+    }
+  }
   LabelMatrix matrix(n);
   for (int j = 0; j < m; ++j) matrix.AddColumn(std::move(cols[j]));
   return matrix;

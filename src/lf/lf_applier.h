@@ -74,7 +74,7 @@ class SpinPairMoments {
 ///
 /// Thread rule: the lazy builds (EnsureRows, PairMoments, and the first
 /// SelectColumns / SelectRows of a matrix) write the caches, so they run on
-/// the owning thread before a parallel region reads ActiveRow; reads
+/// the owning thread before any other thread reads ActiveRow; reads
 /// afterwards are safe from any thread.
 class LabelMatrix {
  public:

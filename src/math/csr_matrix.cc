@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "math/kernels.h"
-#include "util/thread_pool.h"
 
 namespace activedp {
 
@@ -39,20 +38,6 @@ Matrix CsrMatrix::ToDense() const {
   return out;
 }
 
-void CsrMatrix::SetRowExtents(const std::vector<int>& row_nnz) {
-  rows_ = static_cast<int>(row_nnz.size());
-  row_ptr_.assign(1, 0);
-  row_ptr_.reserve(rows_ + 1);
-  int64_t total = 0;
-  for (const int count : row_nnz) {
-    CHECK_GE(count, 0);
-    total += count;
-    row_ptr_.push_back(total);
-  }
-  col_indices_.resize(static_cast<size_t>(total));
-  values_.resize(static_cast<size_t>(total));
-}
-
 void CsrMatrix::AppendRow(const int32_t* indices, const double* values,
                           int count) {
   CHECK_GE(count, 0);
@@ -74,53 +59,22 @@ std::vector<double> CsrMatrix::MultiplyVector(
     const std::vector<double>& v) const {
   CHECK_EQ(static_cast<int>(v.size()), cols_);
   std::vector<double> out(rows_, 0.0);
-  ThreadPool* pool = ComputePool();
-  const double* w = v.data();
-  if (pool == nullptr || nnz() < (1 << 15)) {
-    for (int r = 0; r < rows_; ++r) out[r] = RowDot(r, w);
-    return out;
-  }
-  const Status status = ParallelForChunks(
-      pool, rows_, BoundedGrain(rows_, 256, 1024), RunLimits::Unlimited(),
-      "csr_matvec", [&](int /*chunk*/, int begin, int end) {
-        for (int r = begin; r < end; ++r) out[r] = RowDot(r, w);
-      });
-  CHECK(status.ok());
+  for (int r = 0; r < rows_; ++r) out[r] = RowDot(r, v.data());
   return out;
 }
 
 Matrix CsrMatrix::SelfInnerProduct() const {
   Matrix out(cols_, cols_);
-  ThreadPool* pool = ComputePool();
-  // Each chunk scatters its rows into a private accumulator; partials are
-  // combined in chunk order, matching the serial row order bitwise.
-  auto accumulate_rows = [&](Matrix& acc, int begin, int end) {
-    for (int r = begin; r < end; ++r) {
-      const int32_t* idx = RowIndices(r);
-      const double* val = RowValues(r);
-      const int count = RowNnz(r);
-      for (int a = 0; a < count; ++a) {
-        double* acc_row = acc.RowPtr(idx[a]);
-        const double va = val[a];
-        for (int b = 0; b < count; ++b) acc_row[idx[b]] += va * val[b];
-      }
+  for (int r = 0; r < rows_; ++r) {
+    const int32_t* idx = RowIndices(r);
+    const double* val = RowValues(r);
+    const int count = RowNnz(r);
+    for (int a = 0; a < count; ++a) {
+      double* out_row = out.RowPtr(idx[a]);
+      const double va = val[a];
+      for (int b = 0; b < count; ++b) out_row[idx[b]] += va * val[b];
     }
-  };
-  if (pool == nullptr || nnz() < (1 << 12)) {
-    accumulate_rows(out, 0, rows_);
-    return out;
   }
-  const int grain = BoundedGrain(rows_, 256, 256);
-  const int num_chunks = NumChunks(rows_, grain);
-  std::vector<Matrix> partials(num_chunks);
-  const Status status = ParallelForChunks(
-      pool, rows_, grain, RunLimits::Unlimited(), "csr_ata",
-      [&](int chunk, int begin, int end) {
-        partials[chunk] = Matrix(cols_, cols_);
-        accumulate_rows(partials[chunk], begin, end);
-      });
-  CHECK(status.ok());
-  for (int c = 0; c < num_chunks; ++c) out.AddInPlace(partials[c]);
   return out;
 }
 

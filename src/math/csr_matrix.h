@@ -28,22 +28,6 @@ class CsrMatrix {
   /// Builds from a dense matrix, dropping entries with |value| <= eps.
   static CsrMatrix FromDense(const Matrix& dense, double eps = 0.0);
 
-  /// Bulk builder: fixes the row structure to `row_nnz` (prefix-summed into
-  /// row_ptr) and allocates the index/value storage in one shot, replacing
-  /// any existing contents. Callers then fill each row's slice through
-  /// MutableRowIndices/MutableRowValues — from any thread, as long as each
-  /// row has one writer — which is how the featurizer packs a corpus without
-  /// a serial AppendRow loop.
-  void SetRowExtents(const std::vector<int>& row_nnz);
-  int32_t* MutableRowIndices(int r) {
-    DCHECK(r >= 0 && r < rows_);
-    return col_indices_.data() + row_ptr_[r];
-  }
-  double* MutableRowValues(int r) {
-    DCHECK(r >= 0 && r < rows_);
-    return values_.data() + row_ptr_[r];
-  }
-
   /// Densifies (zeros where no stored entry).
   Matrix ToDense() const;
 
@@ -81,9 +65,8 @@ class CsrMatrix {
   /// this * v (v.size() == cols()); per-row sparse dots.
   std::vector<double> MultiplyVector(const std::vector<double>& v) const;
 
-  /// A^T * A as a dense cols() x cols() matrix. Row-driven scatter with
-  /// chunk-ordered partial accumulation (deterministic at any thread
-  /// count). Intended for tall-skinny matrices (cols small).
+  /// A^T * A as a dense cols() x cols() matrix. Row-driven scatter in row
+  /// order. Intended for tall-skinny matrices (cols small).
   Matrix SelfInnerProduct() const;
 
  private:

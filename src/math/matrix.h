@@ -54,10 +54,6 @@ class Matrix {
   /// Element-wise this + other.
   Matrix Add(const Matrix& other) const;
 
-  /// Element-wise this += other, without a copy. Used by the ordered
-  /// per-chunk reductions in the parallel label-model fits.
-  void AddInPlace(const Matrix& other);
-
   /// Element-wise this - other.
   Matrix Subtract(const Matrix& other) const;
 

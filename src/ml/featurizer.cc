@@ -1,10 +1,8 @@
 #include "ml/featurizer.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
@@ -66,44 +64,17 @@ std::vector<SparseVector> FeaturizeAll(const Featurizer& featurizer,
   TraceSpan span("featurize.all");
   span.AddArg("rows", n);
   std::vector<SparseVector> out(n);
-  // Each example's vector is written by exactly one chunk: bitwise identical
-  // at any thread count.
-  const Status status = ParallelForChunks(
-      ComputePool(), n, BoundedGrain(n, 128, 1024), RunLimits::Unlimited(),
-      "featurize", [&](int /*chunk*/, int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          out[i] = featurizer.Transform(dataset.example(i));
-        }
-      });
-  CHECK(status.ok());  // unlimited budget: Check can never trip
+  for (int i = 0; i < n; ++i) out[i] = featurizer.Transform(dataset.example(i));
   return out;
 }
 
 CsrMatrix FeaturizeAllCsr(const Featurizer& featurizer,
                           const Dataset& dataset) {
-  // Transform in parallel (same chunking as FeaturizeAll), then bulk-pack
-  // the rows: the row extents fix the layout up front and each row's slice
-  // is copied by exactly one chunk, so the result is identical at any
-  // thread count.
-  const std::vector<SparseVector> rows = FeaturizeAll(featurizer, dataset);
-  const int n = static_cast<int>(rows.size());
-  CsrMatrix csr(n, featurizer.dim());
-  std::vector<int> row_nnz(n);
-  for (int i = 0; i < n; ++i) row_nnz[i] = rows[i].nnz();
-  csr.SetRowExtents(row_nnz);
-  const Status packed = ParallelForChunks(
-      ComputePool(), n, BoundedGrain(n, 128, 1024), RunLimits::Unlimited(),
-      "featurize", [&](int /*chunk*/, int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          const SparseVector& r = rows[i];
-          if (r.nnz() == 0) continue;
-          std::memcpy(csr.MutableRowIndices(i), r.indices.data(),
-                      sizeof(int32_t) * r.nnz());
-          std::memcpy(csr.MutableRowValues(i), r.values.data(),
-                      sizeof(double) * r.nnz());
-        }
-      });
-  CHECK(packed.ok());  // unlimited budget: Check can never trip
+  CsrMatrix csr(dataset.size(), featurizer.dim());
+  for (int i = 0; i < dataset.size(); ++i) {
+    const SparseVector r = featurizer.Transform(dataset.example(i));
+    csr.AppendRow(r.indices.data(), r.values.data(), r.nnz());
+  }
   return csr;
 }
 

@@ -4,10 +4,8 @@
 #include <map>
 #include <utility>
 
-#include "math/csr_matrix.h"
 #include "math/vector_ops.h"
 #include "text/tokenizer.h"
-#include "util/thread_pool.h"
 
 namespace activedp {
 namespace {
@@ -191,17 +189,17 @@ void ModelSnapshot::ApplyLfsRow(const Example& example, std::vector<int>* row,
   }
 }
 
-Result<ServedPrediction> ModelSnapshot::PredictRow(const Example& example,
-                                                   const int32_t* indices,
-                                                   const double* values,
-                                                   int nnz) const {
+Result<ServedPrediction> ModelSnapshot::Predict(const Example& example) const {
+  RETURN_IF_ERROR(ValidateExample(example));
   // One-row version of the offline inference phase: AL probabilities,
   // label-model probabilities + activity over the selected LFs, then
   // ConFusion::Aggregate with the exported τ. Aggregate is row-independent,
   // so this matches the offline batch call bitwise.
   std::vector<std::vector<double>> al_proba(1);
   if (al_model_.has_value()) {
-    al_proba[0] = al_model_->PredictProba(indices, values, nnz);
+    const SparseVector features = featurizer_->Transform(example);
+    al_proba[0] = al_model_->PredictProba(
+        features.indices.data(), features.values.data(), features.nnz());
   }
   std::vector<std::vector<double>> lm_proba(1);
   std::vector<bool> lm_active(1, false);
@@ -222,73 +220,11 @@ Result<ServedPrediction> ModelSnapshot::PredictRow(const Example& example,
   return prediction;
 }
 
-Result<ServedPrediction> ModelSnapshot::Predict(const Example& example) const {
-  RETURN_IF_ERROR(ValidateExample(example));
-  if (!al_model_.has_value()) {
-    return PredictRow(example, nullptr, nullptr, 0);
-  }
-  const SparseVector features = featurizer_->Transform(example);
-  return PredictRow(example, features.indices.data(), features.values.data(),
-                    features.nnz());
-}
-
 std::vector<Result<ServedPrediction>> ModelSnapshot::PredictBatch(
     const std::vector<Example>& examples) const {
-  const int n = static_cast<int>(examples.size());
-  std::vector<Result<ServedPrediction>> out(
-      n, Result<ServedPrediction>(Status::Internal("not computed")));
-  if (n == 0) return out;
-  const int grain = BoundedGrain(n, 8, 64);
-
-  // Stage 1: featurize the whole batch into one CSR matrix (skipped when no
-  // AL model consumes features). Transform runs in parallel with row-owned
-  // writes; the serial AppendRow pack keeps the layout thread-count
-  // independent. Rows that fail shape validation stay empty and carry their
-  // Status into stage 2.
-  std::vector<Status> row_status(n, Status::Ok());
-  CsrMatrix features(n, state_.feature_dim);
-  if (al_model_.has_value()) {
-    std::vector<SparseVector> rows(n);
-    (void)ParallelForChunks(ComputePool(), n, grain, RunLimits::Unlimited(),
-                            "serve.featurize",
-                            [&](int /*chunk*/, int begin, int end) {
-                              for (int i = begin; i < end; ++i) {
-                                row_status[i] = ValidateExample(examples[i]);
-                                if (row_status[i].ok()) {
-                                  rows[i] = featurizer_->Transform(examples[i]);
-                                }
-                              }
-                            });
-    int64_t nnz = 0;
-    for (const SparseVector& r : rows) nnz += r.nnz();
-    features.ReserveNnz(nnz);
-    for (const SparseVector& r : rows) {
-      features.AppendRow(r.indices.data(), r.values.data(), r.nnz());
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      row_status[i] = ValidateExample(examples[i]);
-      features.AppendRow(nullptr, nullptr, 0);
-    }
-  }
-
-  // Stage 2: score each row off the packed CSR storage. Each CSR row holds
-  // exactly Transform(example)'s indices/values, so PredictRow sees the same
-  // input as the single-row path — served batch outputs are bitwise equal to
-  // Predict on each element. Each slot is written by exactly one chunk and
-  // the budget is unlimited, so the loop itself can never fail.
-  (void)ParallelForChunks(
-      ComputePool(), n, grain, RunLimits::Unlimited(), "serve.predict_batch",
-      [&](int /*chunk*/, int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          if (!row_status[i].ok()) {
-            out[i] = row_status[i];
-            continue;
-          }
-          out[i] = PredictRow(examples[i], features.RowIndices(i),
-                              features.RowValues(i), features.RowNnz(i));
-        }
-      });
+  std::vector<Result<ServedPrediction>> out;
+  out.reserve(examples.size());
+  for (const Example& example : examples) out.push_back(Predict(example));
   return out;
 }
 

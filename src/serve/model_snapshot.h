@@ -75,12 +75,10 @@ struct SnapshotState {
 /// const and thread-safe, so a snapshot can serve concurrent batches behind
 /// a std::shared_ptr (serve/prediction_service.h hot-swaps them RCU-style).
 ///
-/// Determinism: PredictBatch featurizes the whole batch into one CSR matrix
-/// and scores each row off the packed storage; Predict runs the same per-row
-/// scoring on a single transformed row. Both aggregate with the offline
-/// ConFusion::Aggregate, which is row-independent — served outputs are
-/// bitwise identical to the offline pipeline's for the same instance, at
-/// every batch size and thread count.
+/// Determinism: Predict featurizes one row and aggregates with the offline
+/// ConFusion::Aggregate, which is row-independent; PredictBatch is Predict on
+/// each row. Served outputs are bitwise identical to the offline pipeline's
+/// for the same instance, at every batch size.
 class ModelSnapshot {
  public:
   /// Validates `state` (shape consistency, parseable label-model params,
@@ -113,9 +111,9 @@ class ModelSnapshot {
   /// model where a selected LF fires, else rejected.
   Result<ServedPrediction> Predict(const Example& example) const;
 
-  /// Per-row predictions for a batch, computed on the process-wide
-  /// ComputePool. Each row succeeds or fails independently; the result
-  /// always has examples.size() entries in order.
+  /// Predict on each row of a batch, inline on the calling thread. Each row
+  /// succeeds or fails independently; the result always has examples.size()
+  /// entries in order.
   std::vector<Result<ServedPrediction>> PredictBatch(
       const std::vector<Example>& examples) const;
 
@@ -125,19 +123,8 @@ class ModelSnapshot {
  private:
   ModelSnapshot() = default;
 
-  /// Shape validation shared by Predict and PredictBatch (tabular width
-  /// check); never featurizes.
+  /// Shape validation (tabular width check); never featurizes.
   Status ValidateExample(const Example& example) const;
-
-  /// The scoring core behind Predict/PredictBatch: AL probabilities from a
-  /// CSR row view of the features, LF row + label-model probabilities, then
-  /// ConFusion::Aggregate. Both entry points funnel through this with the
-  /// same per-row data, so served outputs are bitwise identical regardless
-  /// of batch size. `indices/values/nnz` are ignored when there is no AL
-  /// model (callers may pass nullptr/0).
-  Result<ServedPrediction> PredictRow(const Example& example,
-                                      const int32_t* indices,
-                                      const double* values, int nnz) const;
 
   /// Fills `row` with each selected LF's vote on `example` and sets `active`
   /// if any vote is not kAbstain. Uses the inverted keyword index when every

@@ -442,8 +442,6 @@ void PredictionService::RunBatch(
     const std::shared_ptr<const ModelSnapshot>& snapshot,
     std::vector<PendingRequest> batch, Clock::time_point dequeued) {
   ServeMetrics& metrics = ServeMetrics::Get();
-  // Span from the dispatcher thread only; the per-row work inside
-  // PredictBatch runs on compute-pool workers, which stay trace-silent.
   TraceSpan span("serve.batch");
   span.AddArg("size", static_cast<int64_t>(batch.size()));
   Timer timer;

@@ -68,7 +68,7 @@ struct ServiceHealth {
 /// A concurrent, batching inference front-end over ModelSnapshot.
 ///
 /// Requests enter a bounded queue; a dispatcher thread evaluates them in
-/// batches on the process-wide ComputePool via ModelSnapshot::PredictBatch.
+/// batches, inline on its own thread, via ModelSnapshot::PredictBatch.
 /// Batching is adaptive (Clipper, Crankshaw et al., NSDI 2017): whenever the
 /// dispatcher is idle it takes everything queued, up to max_batch_size,
 /// straight away — a lone request is never held back waiting for company,
@@ -99,7 +99,7 @@ struct ServiceHealth {
 /// "serve.predict" (latency spike) exercise these paths.
 ///
 /// Observability: spans ("serve.batch") are emitted from the dispatcher
-/// thread only (compute-pool workers stay trace-silent), and the global
+/// thread, and the global
 /// MetricsRegistry gains serve.requests / serve.rejected / serve.expired /
 /// serve.shed / serve.breaker_trips / serve.batches counters plus
 /// serve.batch_size and serve.batch_latency_ms histograms. Every request

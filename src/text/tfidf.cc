@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace activedp {
@@ -17,28 +16,11 @@ TfidfFeaturizer TfidfFeaturizer::Fit(const Dataset& train,
   TraceSpan span("tfidf.fit");
   span.AddArg("rows", n);
   span.AddArg("vocab", vocab_size);
-  // Document frequencies via per-chunk partial counts combined in chunk
-  // order. Integer sums are exact under any grouping, so the result is
-  // bitwise identical at every thread count. Chunk count is capped so the
-  // partial df vectors stay small next to the corpus itself.
-  const int grain = BoundedGrain(n, 1024, 16);
-  const int chunks = NumChunks(n, grain);
-  std::vector<std::vector<int>> partial(chunks);
-  const Status status = ParallelForChunks(
-      ComputePool(), n, grain, RunLimits::Unlimited(), "tfidf.fit",
-      [&](int chunk, int begin, int end) {
-        std::vector<int>& df = partial[chunk];
-        df.assign(vocab_size, 0);
-        for (int i = begin; i < end; ++i) {
-          for (const auto& [term, count] : train.example(i).term_counts) {
-            if (term >= 0 && term < vocab_size) ++df[term];
-          }
-        }
-      });
-  CHECK(status.ok());  // unlimited budget: Check can never trip
   std::vector<int> df(vocab_size, 0);
-  for (const auto& part : partial) {
-    for (int t = 0; t < vocab_size; ++t) df[t] += part[t];
+  for (int i = 0; i < n; ++i) {
+    for (const auto& [term, count] : train.example(i).term_counts) {
+      if (term >= 0 && term < vocab_size) ++df[term];
+    }
   }
 
   TfidfFeaturizer featurizer;

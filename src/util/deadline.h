@@ -138,6 +138,9 @@ struct RunLimits {
   }
 };
 
+/// Row loops under a RunLimits check it once per this many rows.
+inline constexpr int kRowsPerLimitCheck = 1024;
+
 /// True for the two codes a tripped RunLimits surfaces as. A budget trip is
 /// a decision, not a failure: callers propagate it instead of retrying or
 /// degrading (DESIGN.md §7).

@@ -22,9 +22,10 @@ namespace activedp {
 ///              per-fit iteration counts)
 ///
 /// All instruments are lock-free on the write path (relaxed atomics), so
-/// compute-pool workers may increment them concurrently; the *final* value
-/// of anything derived from deterministic quantities (iteration counts,
-/// retry attempts) is itself deterministic regardless of thread count.
+/// parallel seeds and serving threads may increment them concurrently; the
+/// *final* value of anything derived from deterministic quantities
+/// (iteration counts, retry attempts) is itself deterministic regardless of
+/// thread count.
 /// Registration is mutex-guarded and instruments are never erased, so a
 /// returned reference stays valid for the registry's lifetime.
 ///

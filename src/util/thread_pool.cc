@@ -179,88 +179,4 @@ void ParallelFor(ThreadPool* pool, int n,
   batch.Wait();
 }
 
-int BoundedGrain(int n, int min_grain, int max_chunks) {
-  CHECK_GT(min_grain, 0);
-  CHECK_GT(max_chunks, 0);
-  if (n <= 0) return min_grain;
-  return std::max(min_grain, (n + max_chunks - 1) / max_chunks);
-}
-
-Status ParallelForChunks(
-    ThreadPool* pool, int n, int grain, const RunLimits& limits,
-    std::string_view stage,
-    const std::function<void(int chunk, int begin, int end)>& body) {
-  CHECK_GT(grain, 0);
-  const int chunks = NumChunks(n, grain);
-  if (chunks == 0) return Status::Ok();
-
-  TaskBatch batch(pool);
-  if (batch.inline_mode()) {
-    for (int c = 0; c < chunks; ++c) {
-      RETURN_IF_ERROR(limits.Check(stage));
-      body(c, c * grain, std::min(n, (c + 1) * grain));
-    }
-    return Status::Ok();
-  }
-
-  // One status slot per chunk: each slot is written by at most one task, and
-  // the lowest failed index is returned, so the reported trip does not
-  // depend on scheduling order among the chunks that actually ran.
-  std::vector<Status> chunk_status(chunks, Status::Ok());
-  std::atomic<int> next{0};
-  const int workers = std::min(pool->num_threads(), chunks);
-  for (int w = 0; w < workers; ++w) {
-    batch.Submit([&, n, grain, chunks] {
-      while (!batch.cancelled()) {
-        const int c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks) return;
-        const Status limit = limits.Check(stage);
-        if (!limit.ok()) {
-          chunk_status[c] = limit;
-          batch.Cancel();
-          return;
-        }
-        body(c, c * grain, std::min(n, (c + 1) * grain));
-      }
-    });
-  }
-  batch.Wait();
-  for (int c = 0; c < chunks; ++c) {
-    if (!chunk_status[c].ok()) return chunk_status[c];
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-std::mutex compute_pool_mutex;
-std::unique_ptr<ThreadPool> compute_pool;
-int compute_pool_threads = 1;
-
-}  // namespace
-
-ThreadPool* ComputePool() {
-  std::unique_lock<std::mutex> lock(compute_pool_mutex);
-  return compute_pool.get();
-}
-
-int ComputePoolThreads() {
-  std::unique_lock<std::mutex> lock(compute_pool_mutex);
-  return compute_pool_threads;
-}
-
-void SetComputePoolThreads(int num_threads) {
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_threads <= 0) num_threads = 1;
-  }
-  std::unique_lock<std::mutex> lock(compute_pool_mutex);
-  if (num_threads == compute_pool_threads) return;
-  compute_pool.reset();  // joins the old workers
-  compute_pool_threads = num_threads;
-  if (num_threads > 1) {
-    compute_pool = std::make_unique<ThreadPool>(num_threads);
-  }
-}
-
 }  // namespace activedp

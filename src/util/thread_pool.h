@@ -8,12 +8,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
-
-#include "util/deadline.h"
-#include "util/status.h"
 
 namespace activedp {
 
@@ -129,45 +125,6 @@ class TaskBatch {
 /// rethrown here, in the caller.
 void ParallelFor(ThreadPool* pool, int n,
                  const std::function<void(int)>& body);
-
-/// Number of `grain`-sized chunks covering [0, n).
-inline int NumChunks(int n, int grain) {
-  return n <= 0 ? 0 : (n + grain - 1) / grain;
-}
-
-/// Grain that covers n in at most `max_chunks` chunks of at least
-/// `min_grain`. Depends only on n, so chunk boundaries — and therefore any
-/// per-chunk ordered reduction — are identical at every thread count.
-int BoundedGrain(int n, int min_grain, int max_chunks);
-
-/// Chunked parallel loop: body(chunk, begin, end) over fixed chunk
-/// boundaries derived from `n` and `grain` only (never from the thread
-/// count), so per-chunk partial results combined in chunk order are bitwise
-/// identical at 1 and N threads. `limits` is checked once per chunk before
-/// it starts; the first non-OK status cancels the chunks not yet started and
-/// is returned (lowest chunk index wins when several trip). Exceptions from
-/// `body` likewise cancel remaining chunks and are rethrown. Runs inline on
-/// a null/serial pool or from a nested worker.
-Status ParallelForChunks(
-    ThreadPool* pool, int n, int grain, const RunLimits& limits,
-    std::string_view stage,
-    const std::function<void(int chunk, int begin, int end)>& body);
-
-/// The process-wide pool data-parallel stages (LF application, TF-IDF,
-/// matrix products, label-model fits, graphical lasso) draw from. Returns
-/// null when configured serial (the default): every stage then runs inline,
-/// which is also the fallback inside nested parallel regions. Results are
-/// bitwise independent of this setting by construction (see
-/// ParallelForChunks), so flipping it is purely a throughput knob.
-ThreadPool* ComputePool();
-
-/// Number of threads ComputePool is configured with (1 = serial).
-int ComputePoolThreads();
-
-/// Reconfigures the compute pool (<= 1 disables it). Waits for the old
-/// pool's queue to drain; must not be called concurrently with stages that
-/// are using the pool.
-void SetComputePoolThreads(int num_threads);
 
 }  // namespace activedp
 

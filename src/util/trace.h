@@ -31,10 +31,7 @@ namespace activedp {
 /// track is only ever driven by one thread at a time, so (track, seq) is a
 /// pure function of the run's control flow: two runs at the same seed
 /// produce identical traces *modulo the timestamp fields* (`ts_us`,
-/// `dur_us`), which is what tests/trace_test.cc asserts. Records created on
-/// compute-pool worker threads would break this (workers interleave
-/// nondeterministically), so stages span at the *caller* level and workers
-/// only touch util/metrics.h atomics.
+/// `dur_us`), which is what tests/trace_test.cc asserts.
 ///
 /// Cost contract: when the runtime flag is off (the default) a TraceSpan
 /// constructor is one acquire atomic load and no allocation.

@@ -19,7 +19,6 @@
 #include "labelmodel/metal_model.h"
 #include "math/matrix.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace activedp {
 namespace {
@@ -305,52 +304,39 @@ std::vector<std::string> FitAll(const LabelMatrix& matrix, int num_classes) {
 }
 
 TEST(LabelMatrixDifferentialTest, FitsOnDerivedMatricesMatchFreshOnes) {
-  const int threads_before = ComputePoolThreads();
-  std::vector<std::vector<std::string>> by_threads;
-  for (const int threads : {1, 4}) {
-    SetComputePoolThreads(threads);
-    std::vector<std::string> all;
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
-      Rng rng(seed * 101);
-      const int num_classes = seed % 3 == 0 ? 3 : 2;
-      const LabelMatrix base = RandomLabelMatrix(3000, 16, num_classes, rng);
-      // Ascending subsets of at least 9 LFs exercise the completion solve
-      // (not its small-m fallback); a permuted subset and a single column
-      // exercise the sorting and fallback paths.
-      std::vector<std::vector<int>> selections;
-      std::vector<int> ascending;
-      for (int j = 0; j < 16; ++j) {
-        if (j % 5 != 2) ascending.push_back(j);
-      }
-      selections.push_back(ascending);
-      std::vector<int> permuted = ascending;
-      rng.Shuffle(permuted);
-      selections.push_back(permuted);
-      selections.push_back({rng.UniformInt(16)});
-      for (const auto& cols : selections) {
-        const LabelMatrix derived = base.SelectColumns(cols);
-        const LabelMatrix fresh =
-            FromScratch(ColumnsOf(derived), derived.num_rows());
-        const std::vector<std::string> on_derived =
-            FitAll(derived, num_classes);
-        EXPECT_EQ(on_derived, FitAll(fresh, num_classes))
-            << "seed " << seed << ", " << cols.size() << " columns, "
-            << threads << " threads";
-        all.insert(all.end(), on_derived.begin(), on_derived.end());
-      }
-      // A row subset (the LabelPick query table) of the derived matrix.
-      std::vector<int> rows;
-      for (int i = 0; i < base.num_rows(); i += 7) rows.push_back(i);
-      const LabelMatrix sliced = base.SelectColumns(ascending).SelectRows(rows);
-      EXPECT_EQ(FitAll(sliced, num_classes),
-                FitAll(FromScratch(ColumnsOf(sliced), sliced.num_rows()),
-                       num_classes))
-          << "seed " << seed << " row subset, " << threads << " threads";
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 101);
+    const int num_classes = seed % 3 == 0 ? 3 : 2;
+    const LabelMatrix base = RandomLabelMatrix(3000, 16, num_classes, rng);
+    // Ascending subsets of at least 9 LFs exercise the completion solve
+    // (not its small-m fallback); a permuted subset and a single column
+    // exercise the sorting and fallback paths.
+    std::vector<std::vector<int>> selections;
+    std::vector<int> ascending;
+    for (int j = 0; j < 16; ++j) {
+      if (j % 5 != 2) ascending.push_back(j);
     }
-    by_threads.push_back(std::move(all));
+    selections.push_back(ascending);
+    std::vector<int> permuted = ascending;
+    rng.Shuffle(permuted);
+    selections.push_back(permuted);
+    selections.push_back({rng.UniformInt(16)});
+    for (const auto& cols : selections) {
+      const LabelMatrix derived = base.SelectColumns(cols);
+      const LabelMatrix fresh =
+          FromScratch(ColumnsOf(derived), derived.num_rows());
+      EXPECT_EQ(FitAll(derived, num_classes), FitAll(fresh, num_classes))
+          << "seed " << seed << ", " << cols.size() << " columns";
+    }
+    // A row subset (the LabelPick query table) of the derived matrix.
+    std::vector<int> rows;
+    for (int i = 0; i < base.num_rows(); i += 7) rows.push_back(i);
+    const LabelMatrix sliced = base.SelectColumns(ascending).SelectRows(rows);
+    EXPECT_EQ(FitAll(sliced, num_classes),
+              FitAll(FromScratch(ColumnsOf(sliced), sliced.num_rows()),
+                     num_classes))
+        << "seed " << seed << " row subset";
   }
-  SetComputePoolThreads(threads_before);
-  EXPECT_EQ(by_threads[0], by_threads[1]);
 }
 
 }  // namespace

@@ -6,10 +6,8 @@
 #include <set>
 
 #include "active/adp.h"
-#include "active/coreset.h"
 #include "active/lal.h"
 #include "active/passive.h"
-#include "active/qbc.h"
 #include "active/seu.h"
 #include "active/uncertainty.h"
 #include "data/synthetic_text.h"
@@ -29,12 +27,6 @@ class SamplerFixture : public testing::Test {
     train_ = GenerateSyntheticText(config, data_rng);
     lf_space_ = BuildLfSpace(train_);
     queried_.assign(train_.size(), false);
-    features_.resize(train_.size());
-    for (int i = 0; i < train_.size(); ++i) {
-      for (const auto& [term, count] : train_.example(i).term_counts) {
-        features_[i].PushBack(term, static_cast<double>(count));
-      }
-    }
     const int n = train_.size();
     al_proba_.resize(n);
     lm_proba_.resize(n);
@@ -51,8 +43,6 @@ class SamplerFixture : public testing::Test {
   SamplerContext Context() {
     SamplerContext ctx;
     ctx.train = &train_;
-    ctx.features = &features_;
-    ctx.feature_dim = train_.vocabulary().size();
     ctx.al_proba = &al_proba_;
     ctx.lm_proba = &lm_proba_;
     ctx.lm_active = &lm_active_;
@@ -63,7 +53,6 @@ class SamplerFixture : public testing::Test {
   }
 
   Dataset train_;
-  std::vector<SparseVector> features_;
   std::unique_ptr<LfSpace> lf_space_;
   std::vector<std::vector<double>> al_proba_;
   std::vector<std::vector<double>> lm_proba_;
@@ -110,8 +99,7 @@ INSTANTIATE_TEST_SUITE_P(Samplers, AllSamplersTest,
                          testing::Values(SamplerType::kPassive,
                                          SamplerType::kUncertainty,
                                          SamplerType::kLal, SamplerType::kSeu,
-                                         SamplerType::kAdp, SamplerType::kQbc,
-                                         SamplerType::kCoreset));
+                                         SamplerType::kAdp));
 
 TEST_F(SamplerFixture, UncertaintyPicksMaxEntropy) {
   // Plant a uniquely most-uncertain row.
@@ -195,57 +183,15 @@ TEST(LalSamplerTest, StateFeaturesShape) {
   EXPECT_DOUBLE_EQ(phi[4], 0.5);
 }
 
-TEST_F(SamplerFixture, QbcDisagreementTargetsBoundary) {
-  // Label half the data with a clean linear rule; QBC should prefer points
-  // the bootstrap committee disagrees on over points deep inside a class.
-  QbcSampler sampler;
-  Rng rng(23);
-  SamplerContext ctx = Context();
-  std::vector<int> labeled_rows, labeled_values;
-  for (int i = 0; i < 40; ++i) {
-    labeled_rows.push_back(i);
-    labeled_values.push_back(train_.example(i).label);
-    queried_[i] = true;
-  }
-  ctx.labeled_rows = &labeled_rows;
-  ctx.labeled_values = &labeled_values;
-  const int q = sampler.SelectQuery(ctx, rng);
-  EXPECT_GE(q, 40);  // never re-queries
-  EXPECT_LT(q, train_.size());
-}
-
-TEST_F(SamplerFixture, CoresetSpreadsQueries) {
-  // With duplicated feature vectors, core-set must not query a duplicate of
-  // an already-queried point while distinct points remain.
-  CoresetSampler sampler;
-  Rng rng(29);
-  std::vector<SparseVector> features(train_.size());
-  for (int i = 0; i < train_.size(); ++i) {
-    // Three distinct locations repeated over the dataset.
-    features[i].PushBack(0, static_cast<double>(i % 3));
-  }
-  SamplerContext ctx = Context();
-  ctx.features = &features;
-  ctx.feature_dim = 1;
-  std::set<int> locations;
-  for (int t = 0; t < 3; ++t) {
-    const int q = sampler.SelectQuery(ctx, rng);
-    ASSERT_GE(q, 0);
-    queried_[q] = true;
-    locations.insert(q % 3);
-  }
-  // Three picks, three distinct locations (greedy k-center).
-  EXPECT_EQ(locations.size(), 3u);
-}
-
 TEST(SamplerFactoryTest, ParseNames) {
   EXPECT_EQ(ParseSamplerType("passive"), SamplerType::kPassive);
   EXPECT_EQ(ParseSamplerType("US"), SamplerType::kUncertainty);
   EXPECT_EQ(ParseSamplerType("lal"), SamplerType::kLal);
   EXPECT_EQ(ParseSamplerType("seu"), SamplerType::kSeu);
   EXPECT_EQ(ParseSamplerType("adp"), SamplerType::kAdp);
-  EXPECT_EQ(ParseSamplerType("qbc"), SamplerType::kQbc);
-  EXPECT_EQ(ParseSamplerType("coreset"), SamplerType::kCoreset);
+  // Retired sampler names fall back to the documented default.
+  EXPECT_EQ(ParseSamplerType("qbc"), SamplerType::kAdp);
+  EXPECT_EQ(ParseSamplerType("coreset"), SamplerType::kAdp);
   EXPECT_EQ(ParseSamplerType("bogus"), SamplerType::kAdp);
 }
 

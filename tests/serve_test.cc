@@ -18,7 +18,6 @@
 #include "serve/snapshot_export.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace activedp {
@@ -149,26 +148,6 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossBatchSizes) {
                 static_cast<int>(offline->source));
     }
   }
-}
-
-TEST_F(ServeTest, ServedEqualsOfflineAcrossThreadCounts) {
-  const int previous_threads = ComputePoolThreads();
-  const int n = std::min(split_->train.size(), 48);
-  for (int threads : {1, 4}) {
-    SetComputePoolThreads(threads);
-    PredictionService service;
-    service.LoadSnapshot(*snapshot_a_);
-    for (int i = 0; i < n; ++i) {
-      const ServeReply served = service.Predict(Request(i));
-      ASSERT_TRUE(served.ok());
-      Result<ServedPrediction> offline =
-          (*snapshot_a_)->Predict(TrainExample(i));
-      ASSERT_TRUE(offline.ok());
-      EXPECT_EQ(served.prediction.proba, offline->proba)
-          << "threads " << threads << " row " << i;
-    }
-  }
-  SetComputePoolThreads(previous_threads);
 }
 
 TEST_F(ServeTest, HotSwapUnderLoadServesOneOfTheTwoSnapshots) {

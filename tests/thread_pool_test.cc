@@ -2,17 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
-#include "util/deadline.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -225,81 +221,6 @@ TEST(TaskBatchTest, CancelSkipsBodiesNotYetStarted) {
   batch.Submit([&ran] { ran.fetch_add(1); });
   batch.Wait();
   EXPECT_EQ(ran.load(), 0);
-}
-
-// --- Chunked loops: RunLimits per chunk, deterministic boundaries. ---
-
-TEST(ParallelForChunksTest, HonorsCancellationPerChunk) {
-  ThreadPool pool(2);
-  CancellationSource source;
-  source.Cancel();
-  RunLimits limits;
-  limits.cancel = source.token();
-  std::atomic<int> ran{0};
-  const Status status =
-      ParallelForChunks(&pool, 100, 10, limits, "test.stage",
-                        [&ran](int, int, int) { ran.fetch_add(1); });
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ParallelForChunksTest, HonorsDeadlinePerChunk) {
-  ThreadPool pool(2);
-  RunLimits limits;
-  limits.deadline = Deadline::After(0.0);
-  const Status status = ParallelForChunks(&pool, 100, 10, limits,
-                                          "test.stage", [](int, int, int) {});
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(ParallelForChunksTest, ChunkBoundariesIndependentOfThreadCount) {
-  auto collect = [](ThreadPool* pool) {
-    std::mutex mutex;
-    std::vector<std::tuple<int, int, int>> chunks;
-    const Status status = ParallelForChunks(
-        pool, 1003, 64, RunLimits::Unlimited(), "test.stage",
-        [&](int chunk, int begin, int end) {
-          std::lock_guard<std::mutex> lock(mutex);
-          chunks.emplace_back(chunk, begin, end);
-        });
-    EXPECT_TRUE(status.ok());
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  ThreadPool pool(4);
-  EXPECT_EQ(collect(nullptr), collect(&pool));
-}
-
-TEST(ParallelForChunksTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(517);
-  const Status status = ParallelForChunks(
-      &pool, 517, 32, RunLimits::Unlimited(), "test.stage",
-      [&counts](int, int begin, int end) {
-        for (int i = begin; i < end; ++i) counts[i].fetch_add(1);
-      });
-  EXPECT_TRUE(status.ok());
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(BoundedGrainTest, CapsChunkCountAndRespectsMinimum) {
-  EXPECT_EQ(BoundedGrain(100, 10, 4), 25);   // 4 chunks of 25
-  EXPECT_EQ(BoundedGrain(100, 50, 4), 50);   // min_grain dominates
-  EXPECT_EQ(NumChunks(100, 25), 4);
-  EXPECT_EQ(NumChunks(0, 25), 0);
-  EXPECT_EQ(NumChunks(1, 25), 1);
-}
-
-TEST(ComputePoolTest, SerialByDefaultAndReconfigurable) {
-  EXPECT_GE(ComputePoolThreads(), 1);
-  SetComputePoolThreads(3);
-  EXPECT_EQ(ComputePoolThreads(), 3);
-  ASSERT_NE(ComputePool(), nullptr);
-  std::atomic<int> counter{0};
-  ParallelFor(ComputePool(), 50, [&counter](int) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 50);
-  SetComputePoolThreads(1);
-  EXPECT_EQ(ComputePool(), nullptr);
 }
 
 }  // namespace
