@@ -68,10 +68,9 @@ int main() {
   std::printf("saved and reloaded %s\n", path.c_str());
 
   // 4. Serve. The service batches concurrent requests (an idle dispatcher
-  //    takes whatever is queued, up to the batch size) and runs them on the
-  //    compute pool. Served
-  //    predictions are bitwise identical to offline ConFusion aggregation
-  //    at any batch size or thread count.
+  //    takes whatever is queued, up to the batch size) and runs each batch
+  //    inline via PredictBatch. Served predictions are bitwise identical to
+  //    offline ConFusion aggregation at any batch size.
   auto snapshot =
       std::make_shared<const ModelSnapshot>(std::move(*loaded));
   PredictionService service;

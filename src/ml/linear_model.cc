@@ -223,12 +223,6 @@ std::vector<double> LogisticRegression::PredictProba(
   return Softmax(Logits(x));
 }
 
-std::vector<double> LogisticRegression::PredictProba(const int32_t* indices,
-                                                     const double* values,
-                                                     int nnz) const {
-  return Softmax(Logits(indices, values, nnz));
-}
-
 int LogisticRegression::Predict(const SparseVector& x) const {
   return ArgMax(Logits(x));
 }

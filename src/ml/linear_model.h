@@ -58,12 +58,6 @@ class LogisticRegression {
   /// Class-probability vector for one example.
   std::vector<double> PredictProba(const SparseVector& x) const;
 
-  /// Raw-array variant over parallel (indices, values) arrays with ascending
-  /// indices in [0, dim) — a CSR row view. Same kernel calls as the
-  /// SparseVector overload, so the result is bitwise identical.
-  std::vector<double> PredictProba(const int32_t* indices,
-                                   const double* values, int nnz) const;
-
   /// Most likely class.
   int Predict(const SparseVector& x) const;
 
@@ -83,7 +77,8 @@ class LogisticRegression {
   /// Raw (unnormalized) class scores w_c . x + b_c.
   std::vector<double> Logits(const SparseVector& x) const;
 
-  /// CSR-row-view variant of Logits.
+  /// Raw-array variant of Logits over parallel (indices, values) arrays with
+  /// ascending indices in [0, dim); the SparseVector overload delegates here.
   std::vector<double> Logits(const int32_t* indices, const double* values,
                              int nnz) const;
 

@@ -197,9 +197,7 @@ Result<ServedPrediction> ModelSnapshot::Predict(const Example& example) const {
   // so this matches the offline batch call bitwise.
   std::vector<std::vector<double>> al_proba(1);
   if (al_model_.has_value()) {
-    const SparseVector features = featurizer_->Transform(example);
-    al_proba[0] = al_model_->PredictProba(
-        features.indices.data(), features.values.data(), features.nnz());
+    al_proba[0] = al_model_->PredictProba(featurizer_->Transform(example));
   }
   std::vector<std::vector<double>> lm_proba(1);
   std::vector<bool> lm_active(1, false);

@@ -23,7 +23,6 @@
 #include "math/csr_matrix.h"
 #include "math/kernels.h"
 #include "math/matrix.h"
-#include "ml/linear_model.h"
 #include "util/rng.h"
 
 namespace activedp {
@@ -193,6 +192,117 @@ TEST(CsrMatrixTest, ProductsMatchDenseFuzz) {
       for (int b = 0; b < cols; ++b) {
         ASSERT_EQ(Bits(dense_ata(a, b)), Bits(ata(a, b)))
             << "(" << a << "," << b << ")";
+      }
+    }
+  }
+}
+
+// Reference LabelMatrix built with per-entry scans, for differential tests.
+LabelMatrix RandomLabelMatrix(Rng& rng, int rows, int cols,
+                              double fire_rate) {
+  LabelMatrix matrix(rows);
+  for (int j = 0; j < cols; ++j) {
+    std::vector<int8_t> column(rows, kAbstain);
+    for (int i = 0; i < rows; ++i) {
+      if (rng.Uniform() < fire_rate) {
+        column[i] = static_cast<int8_t>(rng.UniformInt(2));
+      }
+    }
+    // Guarantee at least one all-abstain row and one all-abstain column.
+    if (j == cols - 1) std::fill(column.begin(), column.end(), kAbstain);
+    if (rows > 0) column[0] = kAbstain;
+    matrix.AddColumn(std::move(column));
+  }
+  return matrix;
+}
+
+TEST(LabelMatrixTest, ActiveCountsAndRowsMatchReferenceScan) {
+  Rng rng(99);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int rows = 1 + rng.UniformInt(50);
+    const int cols = 1 + rng.UniformInt(10);
+    LabelMatrix matrix = RandomLabelMatrix(rng, rows, cols, rng.Uniform());
+    matrix.EnsureRows();
+    for (int i = 0; i < rows; ++i) {
+      int expected_count = 0;
+      std::vector<int32_t> expected_cols;
+      std::vector<int8_t> expected_labels;
+      for (int j = 0; j < cols; ++j) {
+        if (matrix.At(i, j) != kAbstain) {
+          ++expected_count;
+          expected_cols.push_back(j);
+          expected_labels.push_back(static_cast<int8_t>(matrix.At(i, j)));
+        }
+      }
+      ASSERT_EQ(matrix.ActiveCount(i), expected_count) << "row " << i;
+      ASSERT_EQ(matrix.AnyActive(i), expected_count > 0) << "row " << i;
+      const ActiveRowView view = matrix.ActiveRow(i);
+      ASSERT_EQ(view.nnz, expected_count) << "row " << i;
+      for (int k = 0; k < view.nnz; ++k) {
+        ASSERT_EQ(view.cols[k], expected_cols[k]) << "row " << i;
+        ASSERT_EQ(view.labels[k], expected_labels[k]) << "row " << i;
+      }
+    }
+    // SpinCsr: +1 for label 1, -1 for label 0, abstains dropped.
+    const CsrMatrix spins = matrix.SpinCsr();
+    for (int i = 0; i < rows; ++i) {
+      const ActiveRowView view = matrix.ActiveRow(i);
+      ASSERT_EQ(spins.RowNnz(i), view.nnz);
+      for (int k = 0; k < view.nnz; ++k) {
+        ASSERT_EQ(spins.RowIndices(i)[k], view.cols[k]);
+        ASSERT_EQ(spins.RowValues(i)[k], view.labels[k] == 1 ? 1.0 : -1.0);
+      }
+    }
+  }
+}
+
+TEST(LabelMatrixTest, SetInvalidatesCountsAndRows) {
+  LabelMatrix matrix(3);
+  matrix.AddColumn({0, kAbstain, 1});
+  matrix.AddColumn({kAbstain, kAbstain, 0});
+  EXPECT_EQ(matrix.ActiveCount(0), 1);
+  EXPECT_FALSE(matrix.AnyActive(1));
+  EXPECT_EQ(matrix.ActiveCount(2), 2);
+
+  matrix.Set(1, 0, 1);        // abstain -> active
+  matrix.Set(2, 1, kAbstain); // active -> abstain
+  matrix.Set(0, 0, 1);        // active -> active (count unchanged)
+  EXPECT_EQ(matrix.ActiveCount(0), 1);
+  EXPECT_TRUE(matrix.AnyActive(1));
+  EXPECT_EQ(matrix.ActiveCount(2), 1);
+
+  matrix.EnsureRows();
+  const ActiveRowView row2 = matrix.ActiveRow(2);
+  ASSERT_EQ(row2.nnz, 1);
+  EXPECT_EQ(row2.cols[0], 0);
+  EXPECT_EQ(row2.labels[0], 1);
+}
+
+TEST(LabelModelTest, SparsePredictionsBitwiseEqualDense) {
+  Rng rng(4242);
+  LabelMatrix matrix = RandomLabelMatrix(rng, 300, 12, 0.25);
+  matrix.EnsureRows();
+
+  MetalModel metal;
+  ASSERT_TRUE(metal.Fit(matrix, 2).ok());
+  MetalCompletionModel completion;
+  ASSERT_TRUE(completion.Fit(matrix, 2).ok());
+  MajorityVoteModel majority;
+  ASSERT_TRUE(majority.Fit(matrix, 2).ok());
+  const std::vector<const LabelModel*> models = {&metal, &completion,
+                                                 &majority};
+
+  for (const LabelModel* model : models) {
+    for (int i = 0; i < matrix.num_rows(); ++i) {
+      const auto dense = model->PredictProba(matrix.Row(i));
+      ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+      const auto sparse =
+          model->PredictProbaSparse(matrix.ActiveRow(i), matrix.num_cols());
+      ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+      ASSERT_EQ(dense->size(), sparse->size());
+      for (size_t c = 0; c < dense->size(); ++c) {
+        ASSERT_EQ(Bits((*dense)[c]), Bits((*sparse)[c]))
+            << "row " << i << " class " << c;
       }
     }
   }
