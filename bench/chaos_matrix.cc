@@ -11,12 +11,15 @@
 //   serve     ServeGuard (§11, serve/chaos_scenario.h). Every fault is
 //             cleanly rejected or auto-recovered, and the surviving path
 //             serves bitwise the offline digests of the snapshot that should
-//             be active. Two drills on the first seed cover the admission
-//             triggers no fault site reaches: a shed burst and a deadline
-//             storm.
+//             be active. Drills on the first seed cover the admission
+//             triggers no fault site reaches (a shed burst and a deadline
+//             storm) and a clean load, which must serve every request,
+//             meet every serving SLO and dump nothing.
 //   learn     LearnGuard (§12, online/learn_scenario.h). Every fault ends in
 //             a clean rejection, a quarantine or an auto-rollback, and the
-//             loop publishes again once the fault clears.
+//             loop publishes again once the fault clears. A drill on the
+//             first seed runs clean feedback waves under live traffic, which
+//             must publish at least three strictly improving retrains.
 //
 // A row holds the matrix's sites and kinds, its seeds and fixture sizes, a
 // per-seed fixture builder, a scenario callback per (site, kind) cell, its
@@ -32,6 +35,7 @@
 //   ./build/bench/chaos_matrix --matrix=serve --out=BENCH_serve_chaos.json
 
 #include <any>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -40,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.h"
@@ -47,6 +52,7 @@
 #include "core/session_io.h"
 #include "data/dataset_zoo.h"
 #include "obs/flight_recorder.h"
+#include "obs/slo.h"
 #include "online/learn_scenario.h"
 #include "serve/chaos_scenario.h"
 #include "serve/prediction_service.h"
@@ -355,7 +361,7 @@ ChaosOutcome RunTransientAbsorb(const PipelineFixture& fixture,
 }
 
 // ---------------------------------------------------------------------------
-// serve: ServeGuard, plus the two admission-trigger drills.
+// serve: ServeGuard, plus the admission-trigger and clean-load drills.
 
 Result<ServeChaosFixture> BuildServeFixture(const Matrix& matrix,
                                             uint64_t seed,
@@ -435,6 +441,49 @@ ChaosOutcome RunDeadlineStormDrill(const ServeChaosFixture& fixture,
   return outcome;
 }
 
+/// Four clients issue 100 plain requests each with the burst triggers and
+/// the default serving SLOs armed. Every request must serve and the health
+/// probe (which evaluates the SLOs) must pass; the row's kNone policy
+/// rejects any dump.
+ChaosOutcome RunCleanLoadDrill(const ServeChaosFixture& fixture,
+                               uint64_t /*seed*/) {
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 100;
+  ChaosOutcome outcome;
+  SloEngine slo(DefaultServingSlos());
+  PredictionServiceOptions options;
+  options.shed_burst_threshold = 64;
+  options.deadline_storm_threshold = 64;
+  PredictionService service(options);
+  service.AttachSloEngine(&slo);
+  service.LoadSnapshot(fixture.snapshot_a);
+  // Burn rates are deltas from this sample, so the rejections the earlier
+  // cells injected into the global registry do not count.
+  slo.Tick();
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int k = 0; k < kRequestsPerClient; ++k) {
+        const size_t row = (c + k * kClients) % fixture.trace.size();
+        if (!service.Predict({.example = fixture.trace[row]}).ok()) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  slo.Tick();
+  if (failed.load() > 0) {
+    outcome.Fail(std::to_string(failed.load()) + " clean requests failed");
+  }
+  const Status health = service.CheckHealth();
+  if (!health.ok()) {
+    outcome.Fail("unhealthy after a clean load: " + health.ToString());
+  }
+  return outcome;
+}
+
 // ---------------------------------------------------------------------------
 // learn: LearnGuard.
 
@@ -443,6 +492,22 @@ Result<LearnChaosFixture> BuildLearnFixture(const Matrix& matrix,
                                             const std::string& dir) {
   return BuildLearnChaosFixture(dir, matrix.dataset, matrix.scale, seed,
                                 matrix.steps, kTraceSize);
+}
+
+/// The row's base (6 steps) is too strong to improve strictly three times,
+/// so the clean-waves drill builds its own weaker one (4 steps, a 64-row
+/// trace).
+ChaosOutcome RunCleanWavesDrill(const LearnChaosFixture& fixture,
+                                uint64_t seed) {
+  const Result<LearnChaosFixture> weak =
+      BuildLearnChaosFixture(fixture.dir + "/clean-waves", "youtube", 0.1,
+                             seed, /*base_steps=*/4, /*trace_size=*/64);
+  if (!weak.ok()) {
+    ChaosOutcome outcome;
+    outcome.Fail("weak fixture build failed: " + weak.status().ToString());
+    return outcome;
+  }
+  return RunLearnCleanWaves(*weak, seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -495,6 +560,9 @@ const std::vector<Matrix>& Matrices() {
                    /*every_seed=*/false},
                   {"drill.deadline_storm", "expired", "serve.deadline_storm",
                    &DrillOn<ServeChaosFixture, &RunDeadlineStormDrill>,
+                   /*every_seed=*/false},
+                  {"drill.clean_load", "clean", "",
+                   &DrillOn<ServeChaosFixture, &RunCleanLoadDrill>,
                    /*every_seed=*/false}},
        .required_instants = {{"rollback_instants",
                               {"serve.registry", "serve.rollout"},
@@ -520,6 +588,9 @@ const std::vector<Matrix>& Matrices() {
        // A failed cycle may both quarantine and roll back, so a learn cell
        // may dump any number of incidents as long as each one verifies.
        .incidents = IncidentPolicy::kAny,
+       .drills = {{"drill.clean_waves", "clean", "",
+                   &DrillOn<LearnChaosFixture, &RunCleanWavesDrill>,
+                   /*every_seed=*/false}},
        .required_instants = {{"quarantine_instants",
                               {"fault"},
                               "retrain.quarantine"}},

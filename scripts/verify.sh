@@ -9,10 +9,8 @@
 #      and router, the label matrix's lazily built row view and pair-moment
 #      store, and the tracer / metrics / retry-log write paths race-free
 #   5. the serving suite (ctest -L serve: snapshot export/IO round-trips,
-#      the batched prediction service, and the serve_bench smoke run, whose
-#      determinism gate asserts served == offline bitwise across batch
-#      sizes and a mid-load hot swap; BENCH_serving.json is
-#      archived to bench-archive/)
+#      the batched prediction service with served == offline across batch
+#      sizes and a hot swap under load, and the shard router)
 #   6. the pipeline chaos matrix (bench/chaos_matrix --matrix=pipeline:
 #      fault sites x kinds x seeds through the offline pipeline, with fault
 #      accounting and resumability checks; BENCH_chaos_pipeline.json is
@@ -25,26 +23,22 @@
 #   8. the continuous-learning gate (bench/chaos_matrix --matrix=learn: the
 #      LearnGuard fault matrix — every injected fault ends in a clean
 #      rejection, quarantine or auto-rollback, and the loop keeps publishing
-#      once the fault clears; then bench/continuous_bench: live traffic + drifting
-#      feedback with >= 3 published retrains, each strictly improving
-#      holdout accuracy, zero failed client requests and zero served-digest
-#      divergence; BENCH_learn_chaos.json and BENCH_online.json are
-#      archived to bench-archive/)
+#      once the fault clears — plus its clean-waves drill: live traffic and
+#      drifting feedback with >= 3 published retrains, each strictly
+#      improving holdout accuracy, zero failed client requests and zero
+#      served-digest divergence; BENCH_learn_chaos.json is archived to
+#      bench-archive/)
 #   9. the OpsPlane gate (ctest -L obs: flight-recorder ring/dump/verify and
 #      SLO burn-rate engine tests; then the serve and learn chaos matrices,
 #      whose per-cell incident checks require exactly one verified,
 #      checksummed dump per breaker-trip/rollback trigger, only verified
-#      dumps in learn cells, and zero dumps everywhere else; then a clean
-#      serve_bench run that must produce zero dumps with every SLO met — its
-#      SLO status JSON and Prometheus exposition are archived to
-#      bench-archive/)
+#      dumps in learn cells, and zero dumps everywhere else — including the
+#      serve matrix's clean-load drill, which must also meet every serving
+#      SLO)
 #  10. the TenantMesh gate (tests/shard_router_test: consistent-hash
-#      stability, tenant isolation under one-tenant overload, per-tenant
-#      rollout promote/rollback; then the serve_mt_storm smoke run: the
-#      open-loop multi-tenant storm with its per-tenant served==offline
-#      digest gates, thread-count-independence sweep, isolation and
-#      mid-storm rollout assertions; BENCH_serving_mt.json is archived to
-#      bench-archive/)
+#      stability, tenant isolation under one-tenant overload, and per-tenant
+#      promote + forced rollback under bystander traffic, with tenant-tagged
+#      instants and exactly one rollback incident dump)
 #
 # Usage: scripts/verify.sh [--skip-asan] [--skip-tsan] [--skip-chaos]
 #                          [--skip-trace] [--skip-serve] [--skip-serve-chaos]
@@ -139,19 +133,8 @@ if gate_enabled tsan "$SKIP_TSAN"; then
 fi
 
 if gate_enabled serve "$SKIP_SERVE"; then
-  echo "== serving suite (ctest -L serve, incl. serve_bench smoke) =="
+  echo "== serving suite (ctest -L serve) =="
   ctest --test-dir build -L serve --output-on-failure
-  SERVE_JSON="build/bench/BENCH_serving.json"
-  if [[ -f "$SERVE_JSON" ]]; then
-    mkdir -p bench-archive
-    STAMP="$(date +%Y%m%d-%H%M%S)"
-    cp "$SERVE_JSON" "bench-archive/BENCH_serving-$STAMP.json"
-    echo "archived bench-archive/BENCH_serving-$STAMP.json"
-    grep -oE '"throughput_rps": [0-9.eE+-]+|"p99_ms": [0-9.eE+-]+' \
-      "$SERVE_JSON" | sed 's/^/  /' || true
-  else
-    echo "note: $SERVE_JSON not found; skipping archive" >&2
-  fi
 fi
 
 # Archives one chaos_matrix report ($1 = report stem under build/bench) and
@@ -187,85 +170,34 @@ if gate_enabled serve-chaos "$SKIP_SERVE_CHAOS"; then
 fi
 
 if gate_enabled learn "$SKIP_LEARN"; then
-  echo "== continuous-learning gate (LearnGuard fault matrix + live loop) =="
+  echo "== continuous-learning gate (LearnGuard fault matrix + clean waves) =="
   (cd build/bench && ./chaos_matrix --matrix=learn \
     --out=BENCH_learn_chaos.json)
-  (cd build/bench && ./continuous_bench --waves=8 --steps=4 \
-    --min-publishes=3 --out=BENCH_online.json)
-  mkdir -p bench-archive
-  STAMP="$(date +%Y%m%d-%H%M%S)"
-  for report in BENCH_learn_chaos BENCH_online; do
-    if [[ -f "build/bench/$report.json" ]]; then
-      cp "build/bench/$report.json" "bench-archive/$report-$STAMP.json"
-      echo "archived bench-archive/$report-$STAMP.json"
-    else
-      echo "note: build/bench/$report.json not found; skipping archive" >&2
-    fi
-  done
-  grep -oE '"scenarios": [0-9]+|"failures": [0-9]+|"quarantine_instants": [0-9]+' \
-    build/bench/BENCH_learn_chaos.json | sed 's/^/  /' || true
-  grep -oE '"published": [0-9]+|"base_accuracy": [0-9.]+|"final_accuracy": [0-9.]+|"client_failures": [0-9]+' \
-    build/bench/BENCH_online.json | sed 's/^/  /' || true
+  archive_chaos_report BENCH_learn_chaos \
+    '"scenarios": [0-9]+|"failures": [0-9]+|"quarantine_instants": [0-9]+|"retrain_published": [0-9]+'
 fi
 
 if gate_enabled obs "$SKIP_OBS"; then
-  echo "== OpsPlane gate (incident dumps + SLO status) =="
+  echo "== OpsPlane gate (incident dumps + SLOs) =="
   ctest --test-dir build -L obs --output-on-failure -j "$JOBS"
 
-  # Chaos halves: the runner checks each cell's incident dumps against its
-  # matrix's policy (exactly one verified dump per breaker-trip / rollback
-  # trigger, verified dumps only in learn cells, zero everywhere else) and
-  # exits nonzero on any violation.
+  # The runner checks each cell's incident dumps against its matrix's policy
+  # (exactly one verified dump per breaker-trip / rollback trigger, verified
+  # dumps only in learn cells, zero everywhere else, including the clean-load
+  # drill, which must also meet every serving SLO) and exits nonzero on any
+  # violation.
   (cd build/bench && ./chaos_matrix --matrix=serve \
     --out=BENCH_serve_chaos_obs.json)
   (cd build/bench && ./chaos_matrix --matrix=learn \
     --out=BENCH_learn_chaos_obs.json)
-
-  # Clean half: a fault-free serve_bench run must end with an empty incident
-  # root and every SLO met (the bench exits nonzero otherwise); re-assert
-  # both from the report here and archive the SLO status + Prometheus text.
-  (cd build/bench && ./serve_bench --requests=400 --clients=4 --rate=2000 \
-    --steps=10 --out=BENCH_serving_obs.json)
-  OBS_JSON="build/bench/BENCH_serving_obs.json"
-  if ! grep -q '"incidents": 0' "$OBS_JSON"; then
-    echo "FAIL: clean serve_bench run reported incident dumps" >&2
-    exit 1
-  fi
-  if ! grep -q '"slos_met": true' "$OBS_JSON"; then
-    echo "FAIL: clean serve_bench run breached an SLO" >&2
-    exit 1
-  fi
-  mkdir -p bench-archive
-  STAMP="$(date +%Y%m%d-%H%M%S)"
-  for artifact in BENCH_serving.slo.json BENCH_serving.prom; do
-    if [[ -f "build/bench/bench-archive/$artifact" ]]; then
-      cp "build/bench/bench-archive/$artifact" \
-         "bench-archive/${artifact%%.*}-$STAMP.${artifact#*.}"
-      echo "archived bench-archive/${artifact%%.*}-$STAMP.${artifact#*.}"
-    fi
-  done
   grep -oE '"incident_dumps": [0-9]+' \
     build/bench/BENCH_serve_chaos_obs.json \
     build/bench/BENCH_learn_chaos_obs.json | sed 's/^/  /' || true
-  grep -oE '"all_met": (true|false)' \
-    build/bench/bench-archive/BENCH_serving.slo.json | sed 's/^/  /' || true
 fi
 
 if gate_enabled mt "$SKIP_MT"; then
-  echo "== TenantMesh gate (router tests + multi-tenant storm) =="
-  ctest --test-dir build -R "shard_router_test|serve_mt_storm" \
-    --output-on-failure
-  MT_JSON="build/bench/BENCH_serving_mt.json"
-  if [[ -f "$MT_JSON" ]]; then
-    mkdir -p bench-archive
-    STAMP="$(date +%Y%m%d-%H%M%S)"
-    cp "$MT_JSON" "bench-archive/BENCH_serving_mt-$STAMP.json"
-    echo "archived bench-archive/BENCH_serving_mt-$STAMP.json"
-    grep -oE '"thread_independent": (true|false)|"incidents": [0-9]+|"shed": [0-9]+|"passed": (true|false)' \
-      "$MT_JSON" | sed 's/^/  /' || true
-  else
-    echo "note: $MT_JSON not found; skipping archive" >&2
-  fi
+  echo "== TenantMesh gate (router tests) =="
+  ctest --test-dir build -R shard_router_test --output-on-failure
 fi
 
 echo "verify: all gates passed"

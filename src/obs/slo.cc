@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "util/atomic_file.h"
 #include "util/string_util.h"
 
 namespace activedp {
@@ -101,16 +100,6 @@ void SloEngine::Tick() {
   AppendSampleLocked(now, std::move(snapshot));
 }
 
-void SloEngine::MaybeTick(double period_seconds) {
-  const int64_t now = ObsNowMicros();
-  const int64_t period_us = static_cast<int64_t>(period_seconds * 1e6);
-  const int64_t last = last_tick_us_.load(std::memory_order_relaxed);
-  if (last >= 0 && now - last < period_us) return;
-  // A racing second caller samples too — harmless, samples are idempotent
-  // over identical snapshots and the deque stays time-ordered.
-  Tick();
-}
-
 void SloEngine::TickWithSnapshot(int64_t now_us, MetricsSnapshot snapshot) {
   std::lock_guard<std::mutex> lock(mutex_);
   AppendSampleLocked(now_us, std::move(snapshot));
@@ -121,7 +110,6 @@ void SloEngine::AppendSampleLocked(int64_t now_us, MetricsSnapshot snapshot) {
     return;  // never let a stale clock reorder the sample sequence
   }
   samples_.push_back(Sample{now_us, std::move(snapshot)});
-  last_tick_us_.store(now_us, std::memory_order_relaxed);
   // Keep one sample older than the longest window as the delta baseline.
   while (samples_.size() > 2 &&
          samples_[1].ts_us <= now_us - max_window_us_) {
@@ -232,10 +220,6 @@ SloStatus SloEngine::Evaluate() const {
 }
 
 std::string SloEngine::StatusJson() const { return Evaluate().ToJson(); }
-
-Status SloEngine::ExportStatus(const std::string& path) const {
-  return AtomicWriteFile(path, StatusJson());
-}
 
 std::vector<SloSpec> DefaultServingSlos() {
   std::vector<SloSpec> specs;

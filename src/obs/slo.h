@@ -1,7 +1,6 @@
 #ifndef ACTIVEDP_OBS_SLO_H_
 #define ACTIVEDP_OBS_SLO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "util/metrics.h"
-#include "util/result.h"
 
 namespace activedp {
 
@@ -118,9 +116,6 @@ class SloEngine {
   /// Takes one timestamped sample of the registry. Samples older than the
   /// longest window (plus one baseline sample) are pruned.
   void Tick();
-  /// Samples at most once per `period_seconds` — callable from hot client
-  /// loops (a skipped call is one relaxed load + compare).
-  void MaybeTick(double period_seconds = 1.0);
   /// Deterministic variant for tests: caller supplies the clock and the
   /// snapshot, so an evaluation is reproducible bit-for-bit.
   void TickWithSnapshot(int64_t now_us, MetricsSnapshot snapshot);
@@ -129,10 +124,8 @@ class SloEngine {
   /// samples all burn-rate SLOs report met (no deltas yet).
   SloStatus Evaluate() const;
 
-  /// Evaluate() rendered as JSON (the periodic status export).
+  /// Evaluate() rendered as JSON.
   std::string StatusJson() const;
-  /// Writes StatusJson() to `path` via AtomicWriteFile.
-  Status ExportStatus(const std::string& path) const;
 
   const std::vector<SloSpec>& specs() const { return specs_; }
 
@@ -154,12 +147,11 @@ class SloEngine {
 
   mutable std::mutex mutex_;
   std::deque<Sample> samples_;
-  std::atomic<int64_t> last_tick_us_{-1};
 };
 
-/// The serving SLOs the benches evaluate by default: availability 99% (bad
-/// = rejected + expired), p99 batch latency under 50ms, snapshot staleness
-/// under 10 minutes, retrain freshness under 1 hour. The age gauges
+/// The default serving SLOs: availability 99% (bad = rejected + expired),
+/// p99 batch latency under 50ms, snapshot staleness under 10 minutes,
+/// retrain freshness under 1 hour. The age gauges
 /// ("serve.snapshot_age_seconds", "retrain.last_success_age_seconds") are
 /// maintained by whoever loads snapshots / publishes retrains.
 std::vector<SloSpec> DefaultServingSlos();

@@ -169,6 +169,14 @@ Result<std::unique_ptr<EventLog>> EventLog::Open(
         return Status::Internal("cannot truncate torn event-log tail of " +
                                 path + ": " + ec.message());
       }
+      // Made durable before anything is appended after it: otherwise a
+      // crash could restore the torn line in what is by then a non-last
+      // segment, which strict replay rejects.
+      const Status synced = SyncPath(path);
+      if (!synced.ok()) {
+        return Status::Internal("cannot make truncated event-log segment " +
+                                path + " durable: " + synced.message());
+      }
     }
     if (!replay.events.empty()) {
       if (next_seq > 0 && replay.events.front().seq != next_seq) {
@@ -181,8 +189,18 @@ Result<std::unique_ptr<EventLog>> EventLog::Open(
       sealed.push_back(path);
     } else {
       // A segment reduced to nothing by tail recovery carries no events;
-      // remove it so replay never sees an empty file.
+      // remove it so replay never sees an empty file, and make the removal
+      // durable so a crash cannot bring the file back.
       std::filesystem::remove(path, ec);
+      if (ec) {
+        return Status::Internal("cannot remove empty event-log segment " +
+                                path + ": " + ec.message());
+      }
+      const Status synced = SyncPath(dir);
+      if (!synced.ok()) {
+        return Status::Internal("cannot make removal of " + path +
+                                " durable: " + synced.message());
+      }
     }
     next_segment_index = segments[i].first + 1;
   }

@@ -1,7 +1,10 @@
 #include "online/learn_scenario.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 #include <utility>
 
 #include "core/activedp.h"
@@ -12,9 +15,11 @@
 #include "serve/chaos_scenario.h"
 #include "serve/prediction_service.h"
 #include "serve/rollout.h"
+#include "serve/serve_client.h"
 #include "serve/snapshot_export.h"
 #include "serve/snapshot_io.h"
 #include "serve/snapshot_registry.h"
+#include "util/deadline.h"
 
 namespace activedp {
 namespace {
@@ -41,6 +46,88 @@ constexpr FaultedCycle kFaultedCycles[] = {
     {"retrain.validate", RetrainOutcome::kQuarantined, true},
     {"publish.rollout", RetrainOutcome::kQuarantined, false},
 };
+
+/// One scenario's un-faulted setup: a durable log, a registry with the
+/// fixture's weak base active, a service serving the base with the log
+/// attached, and the retrainer's wiring over all of them. Heap-held, because
+/// `config` borrows its members.
+struct LearnRig {
+  LearnRig(std::unique_ptr<EventLog> opened_log, SnapshotRegistry opened,
+           int64_t base)
+      : log(std::move(opened_log)),
+        registry(std::move(opened)),
+        base_id(base),
+        service(PredictionServiceOptions{.max_batch_size = 8}) {}
+
+  std::unique_ptr<EventLog> log;
+  SnapshotRegistry registry;
+  int64_t base_id;
+  PredictionService service;
+  Retrainer::Config config;
+};
+
+Result<std::unique_ptr<EventLog>> OpenLearnLog(
+    const std::string& scenario_dir) {
+  EventLogOptions options;
+  options.max_records_per_segment = kSegmentRecords;
+  return EventLog::Open(scenario_dir + "/log", options);
+}
+
+Result<std::unique_ptr<LearnRig>> OpenLearnRig(
+    const LearnChaosFixture& fixture, const std::string& scenario_dir) {
+  ASSIGN_OR_RETURN(std::unique_ptr<EventLog> log, OpenLearnLog(scenario_dir));
+  ASSIGN_OR_RETURN(SnapshotRegistry registry,
+                   SnapshotRegistry::Open(scenario_dir + "/registry.manifest"));
+  ASSIGN_OR_RETURN(const int64_t base_id,
+                   registry.Register(fixture.snapshot_path, -1, "learn-base"));
+  RETURN_IF_ERROR(registry.Activate(base_id));
+  auto rig = std::make_unique<LearnRig>(std::move(log), std::move(registry),
+                                        base_id);
+  rig->service.LoadSnapshot(fixture.snapshot);
+  rig->service.AttachEventLog(rig->log.get());
+  rig->config = {.log = rig->log.get(),
+                 .registry = &rig->registry,
+                 .service = &rig->service,
+                 .features = &fixture.features,
+                 .holdout = &fixture.holdout,
+                 .holdout_labels = &fixture.holdout_labels,
+                 .rollout_trace = &fixture.trace};
+  return rig;
+}
+
+/// The retrainer options every learn scenario shares; callers set the fit
+/// size and the validation gate.
+RetrainerOptions LearnRetrainOptions(const LearnChaosFixture& fixture,
+                                     uint64_t seed,
+                                     const std::string& scenario_dir) {
+  RetrainerOptions options;
+  options.min_training_rows = 8;
+  options.lr.seed = seed ^ 99;
+  options.retry.seed = seed;
+  options.rollout.canary_fraction = 0.3;
+  options.rollout.window =
+      std::min<int>(64, static_cast<int>(fixture.trace.size()));
+  options.rollout.min_canary_samples = 4;
+  options.rollout.seed = kRolloutSeed;
+  options.snapshot_dir = scenario_dir + "/candidates";
+  return options;
+}
+
+/// The surviving-path check every learn scenario ends with: the service
+/// serves every trace row bitwise like the offline predictions of the
+/// registry's active snapshot, reloaded from its registered path. Returns
+/// that snapshot (an error when there is none to check against).
+Result<ModelSnapshot> CheckActiveSnapshotServed(
+    const LearnChaosFixture& fixture, LearnRig& rig, ChaosOutcome& outcome) {
+  const std::optional<int64_t> active = rig.registry.active_id();
+  if (!active.has_value()) return Status::NotFound("no active snapshot");
+  ASSIGN_OR_RETURN(const SnapshotRecord record, rig.registry.Get(*active));
+  ASSIGN_OR_RETURN(ModelSnapshot offline, LoadSnapshot(record.path));
+  ASSIGN_OR_RETURN(const std::vector<uint64_t> expected,
+                   OfflineDigests(offline, fixture.trace));
+  CheckSurvivingPath(rig.service, fixture.trace, expected, outcome);
+  return offline;
+}
 
 }  // namespace
 
@@ -104,67 +191,26 @@ ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
   const std::string scenario_dir = fixture.dir + "/" + tag;
   std::error_code ec;
   std::filesystem::remove_all(scenario_dir, ec);
-  const std::string log_dir = scenario_dir + "/log";
-  const std::string manifest = scenario_dir + "/registry.manifest";
 
-  // --- Un-faulted setup: durable log, registry with the weak base active,
-  // service serving the base with the log attached.
-  EventLogOptions log_options;
-  log_options.max_records_per_segment = kSegmentRecords;
-  Result<std::unique_ptr<EventLog>> opened_log =
-      EventLog::Open(log_dir, log_options);
-  if (!opened_log.ok()) {
-    outcome.Fail("event log open failed: " + opened_log.status().ToString());
-    return outcome;
-  }
-  std::unique_ptr<EventLog> log = std::move(*opened_log);
-
-  Result<SnapshotRegistry> opened = SnapshotRegistry::Open(manifest);
+  Result<std::unique_ptr<LearnRig>> opened =
+      OpenLearnRig(fixture, scenario_dir);
   if (!opened.ok()) {
-    outcome.Fail("registry open failed: " + opened.status().ToString());
+    outcome.Fail("learn setup failed: " + opened.status().ToString());
     return outcome;
   }
-  SnapshotRegistry registry = std::move(*opened);
-  const Result<int64_t> base_id =
-      registry.Register(fixture.snapshot_path, -1, "learn-base");
-  if (!base_id.ok() || !registry.Activate(*base_id).ok()) {
-    outcome.Fail("registry setup failed");
-    return outcome;
-  }
+  LearnRig& rig = **opened;
+  PredictionService& service = rig.service;
 
-  PredictionServiceOptions service_options;
-  service_options.max_batch_size = 8;
-  PredictionService service(service_options);
-  service.LoadSnapshot(fixture.snapshot);
-  service.AttachEventLog(log.get());
-
-  RetrainerOptions retrain_options;
-  retrain_options.min_training_rows = 8;
+  RetrainerOptions retrain_options =
+      LearnRetrainOptions(fixture, seed, scenario_dir);
   retrain_options.fit_budget_seconds = 60.0;
   retrain_options.lr.epochs = 25;
-  retrain_options.lr.seed = seed ^ 99;
   // Chaos mode: validation is a formality (any candidate passes the gate) so
   // the drills exercise the fault paths deterministically; the strict
-  // improvement contract is continuous_bench's job.
+  // improvement contract is RunLearnCleanWaves's job.
   retrain_options.min_accuracy_gain = -1.0;
   retrain_options.retry.max_attempts = 2;
-  retrain_options.retry.seed = seed;
-  retrain_options.rollout.canary_fraction = 0.3;
-  retrain_options.rollout.window =
-      std::min<int>(64, static_cast<int>(fixture.trace.size()));
-  retrain_options.rollout.min_canary_samples = 4;
-  retrain_options.rollout.seed = kRolloutSeed;
-  retrain_options.snapshot_dir = scenario_dir + "/candidates";
-
-  Retrainer::Config config;
-  config.log = log.get();
-  config.registry = &registry;
-  config.service = &service;
-  config.features = &fixture.features;
-  config.holdout = &fixture.holdout;
-  config.holdout_labels = &fixture.holdout_labels;
-  config.rollout_trace = &fixture.trace;
-  Retrainer retrainer(config, retrain_options);
+  Retrainer retrainer(rig.config, retrain_options);
 
   // Feeds one wave of exact labels; returns how many the service rejected.
   const int wave = std::min<int>(200, static_cast<int>(fixture.features.size()));
@@ -245,10 +291,10 @@ ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
         // The candidate was registered before the fault; it must be
         // condemned, with the base still active.
         const Result<SnapshotRecord> condemned =
-            registry.Get(cycle->candidate_id);
+            rig.registry.Get(cycle->candidate_id);
         if (!condemned.ok() ||
             condemned->status != SnapshotStatus::kFailed ||
-            registry.active_id() != *base_id) {
+            rig.registry.active_id() != rig.base_id) {
           outcome.Fail("failed publish left registry inconsistent");
         } else {
           ++outcome.evidence;
@@ -270,24 +316,23 @@ ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
   // tail truncated); then a fresh wave + a fresh cycle must still publish —
   // one poisoned drill can never wedge the loop.
   if (torn_append) {
-    log.reset();
-    Result<std::unique_ptr<EventLog>> reopened =
-        EventLog::Open(log_dir, log_options);
+    rig.log.reset();
+    Result<std::unique_ptr<EventLog>> reopened = OpenLearnLog(scenario_dir);
     if (!reopened.ok()) {
       outcome.Fail("log reopen after torn append failed: " +
                    reopened.status().ToString());
       return outcome;
     }
-    log = std::move(*reopened);
-    service.AttachEventLog(log.get());
-    config.log = log.get();
+    rig.log = std::move(*reopened);
+    service.AttachEventLog(rig.log.get());
+    rig.config.log = rig.log.get();
     ++outcome.evidence;
   }
 
   // A fresh retrainer (bound to the possibly-reopened log) mirrors a loop
   // restart; its empty quarantine also proves the on-disk segments that
   // survive are genuinely consumable.
-  Retrainer recovery(config, retrain_options);
+  Retrainer recovery(rig.config, retrain_options);
   {
     if (feed_wave() > 0) {
       outcome.Fail("clean feedback rejected after the fault cleared");
@@ -302,27 +347,140 @@ ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
     }
   }
 
-  // --- Surviving path: the service must serve every trace row, bitwise
-  // identical to the offline predictions of the registry's active snapshot
-  // reloaded from its registered path.
-  const std::optional<int64_t> active = registry.active_id();
-  const Result<SnapshotRecord> active_record =
-      active.has_value()
-          ? registry.Get(*active)
-          : Result<SnapshotRecord>(Status::NotFound("no active snapshot"));
-  const Result<ModelSnapshot> offline =
-      active_record.ok() ? LoadSnapshot(active_record->path)
-                         : Result<ModelSnapshot>(active_record.status());
-  const Result<std::vector<uint64_t>> expected =
-      offline.ok() ? OfflineDigests(*offline, fixture.trace)
-                   : Result<std::vector<uint64_t>>(offline.status());
-  if (!expected.ok()) {
+  // --- Surviving path.
+  const Result<ModelSnapshot> active =
+      CheckActiveSnapshotServed(fixture, rig, outcome);
+  if (!active.ok()) {
     outcome.Fail("active snapshot unservable offline: " +
-                 expected.status().ToString());
-  } else {
-    CheckSurvivingPath(service, fixture.trace, *expected, outcome);
+                 active.status().ToString());
   }
 
+  std::filesystem::remove_all(scenario_dir, ec);
+  return outcome;
+}
+
+ChaosOutcome RunLearnCleanWaves(const LearnChaosFixture& fixture,
+                                uint64_t seed) {
+  constexpr int kWaves = 8;
+  constexpr int kClients = 2;
+  constexpr int kMinPublishes = 3;
+  ChaosOutcome outcome;
+  const std::string scenario_dir = fixture.dir + "/clean-waves";
+  std::error_code ec;
+  std::filesystem::remove_all(scenario_dir, ec);
+  Result<std::unique_ptr<LearnRig>> opened =
+      OpenLearnRig(fixture, scenario_dir);
+  const Result<double> base_accuracy = Retrainer::HoldoutAccuracy(
+      *fixture.snapshot, fixture.holdout, fixture.holdout_labels);
+  if (!opened.ok() || !base_accuracy.ok()) {
+    outcome.Fail("clean-waves setup failed");
+    return outcome;
+  }
+  LearnRig& rig = **opened;
+
+  RetrainerOptions retrain_options =
+      LearnRetrainOptions(fixture, seed, scenario_dir);
+  retrain_options.lr.epochs = 40;
+  retrain_options.min_accuracy_gain = 0.0;  // strictly better
+  retrain_options.poll_interval_seconds = 0.02;
+  Retrainer retrainer(rig.config, retrain_options);
+
+  // Live traffic for the whole run. Every request must succeed: hot swaps
+  // cause no downtime, and sheds are absorbed by the retry-after hint.
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> client_failures{0};
+  RetryPolicy client_policy;
+  client_policy.max_attempts = 6;
+  client_policy.sleep = true;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; !stop.load(std::memory_order_relaxed); ++i) {
+        const ServeReply served = PredictWithRetry(
+            rig.service, {.example = fixture.trace[i % fixture.trace.size()]},
+            client_policy);
+        if (!served.ok()) client_failures.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+
+  // Drifting feedback: wave w delivers exact labels for chunk w and LF votes
+  // for chunk w+1, which the exact labels override a wave later.
+  const int corpus = static_cast<int>(fixture.features.size());
+  const int chunk = std::max(16, corpus / (kWaves + 1));
+  for (int w = 0; w < kWaves && w * chunk < corpus; ++w) {
+    const int exact_end = std::min(corpus, (w + 1) * chunk);
+    const int vote_end = std::min(corpus, exact_end + chunk);
+    int rejected = 0;
+    for (int i = w * chunk; i < vote_end; ++i) {
+      const bool exact = i < exact_end;
+      const FeedbackEvent event{
+          .type = exact ? FeedbackType::kExactLabel : FeedbackType::kLfVote,
+          .row = i,
+          .label = fixture.corpus_labels[i],
+          .lf_id = exact ? -1 : i % 5};
+      if (!rig.service.RecordFeedback(event).ok()) ++rejected;
+    }
+    if (rejected > 0) {
+      outcome.Fail(std::to_string(rejected) + " clean feedback events "
+                   "rejected in wave " + std::to_string(w));
+    }
+    const Result<RetrainReport> cycle = retrainer.RunOnce();
+    if (!cycle.ok()) {
+      outcome.Fail("wave " + std::to_string(w) +
+                   " cycle failed: " + cycle.status().ToString());
+      break;
+    }
+    if (cycle->outcome == RetrainOutcome::kPublished) {
+      ++outcome.evidence;
+      // The strictly-better contract, re-checked from the report.
+      if (cycle->candidate_accuracy <= cycle->active_accuracy) {
+        outcome.Fail("published wave " + std::to_string(w) +
+                     " did not improve accuracy");
+      }
+    } else if (cycle->outcome != RetrainOutcome::kRejected &&
+               cycle->outcome != RetrainOutcome::kNoData) {
+      outcome.Fail("clean wave " + std::to_string(w) + " ended " +
+                   std::string(RetrainOutcomeToString(cycle->outcome)) +
+                   " (" + cycle->detail + ")");
+    }
+  }
+  if (outcome.evidence < kMinPublishes) {
+    outcome.Fail("only " + std::to_string(outcome.evidence) +
+                 " retrains published (need " +
+                 std::to_string(kMinPublishes) + ")");
+  }
+
+  // The background loop under the same traffic runs cycles on its own
+  // thread (kNoData: the waves are consumed).
+  const int cycles_before = retrainer.stats().cycles;
+  retrainer.Start();
+  const Deadline deadline = Deadline::After(10.0);
+  while (retrainer.stats().cycles < cycles_before + 3 && !deadline.expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  retrainer.Stop();
+  if (retrainer.stats().cycles == cycles_before) {
+    outcome.Fail("background loop never ran a cycle");
+  }
+
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+  if (client_failures.load() != 0) {
+    outcome.Fail(std::to_string(client_failures.load()) +
+                 " client requests failed during continuous learning");
+  }
+
+  const Result<ModelSnapshot> active =
+      CheckActiveSnapshotServed(fixture, rig, outcome);
+  const Result<double> final_accuracy =
+      active.ok() ? Retrainer::HoldoutAccuracy(*active, fixture.holdout,
+                                               fixture.holdout_labels)
+                  : Result<double>(active.status());
+  if (!final_accuracy.ok() || *final_accuracy <= *base_accuracy) {
+    outcome.Fail("final accuracy did not beat the base");
+  }
   std::filesystem::remove_all(scenario_dir, ec);
   return outcome;
 }

@@ -58,6 +58,28 @@ ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
                                    const ChaosSite& site, FaultKind kind,
                                    uint64_t seed);
 
+/// The chaos matrix's fault-free `learn` drill: the continuous-learning
+/// contract under live traffic. Two client threads serve the trace through
+/// PredictWithRetry for the whole run while eight drifting feedback waves
+/// (exact labels for one chunk of rows, LF votes for the next) each feed one
+/// retrain cycle behind a strictly-better validation gate. Fails `outcome`
+/// unless
+///
+///   - at least three cycles publish, each strictly improving holdout
+///     accuracy (counted in `evidence`), and no cycle ends other than
+///     published, rejected or no-data;
+///   - the background Start()/Stop() loop runs at least one cycle;
+///   - no client request fails;
+///   - served responses bitwise match the registry's active snapshot
+///     reloaded from disk (`digest_mismatches` == 0), and that snapshot's
+///     holdout accuracy beats the base's.
+///
+/// `fixture`'s base must be weak enough to leave room for three strict
+/// improvements (four protocol steps on youtube at scale 0.1 with a 64-row
+/// trace do).
+ChaosOutcome RunLearnCleanWaves(const LearnChaosFixture& fixture,
+                                uint64_t seed);
+
 }  // namespace activedp
 
 #endif  // ACTIVEDP_ONLINE_LEARN_SCENARIO_H_

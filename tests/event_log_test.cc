@@ -139,6 +139,47 @@ TEST(EventLogTest, TornTailIsTruncatedOnReopen) {
   EXPECT_EQ(after->truncated_records, 0);
 }
 
+TEST(EventLogTest, SegmentWithOnlyATornRecordIsRemovedOnReopen) {
+  const std::string dir = FreshDir("event_log_torn_only");
+  std::string torn;
+  {
+    auto log = OpenLog(dir);
+    ASSERT_TRUE(log.ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(
+          (*log)->Append(MakeEvent(FeedbackType::kExactLabel, i, 1)).ok());
+    }
+    ASSERT_TRUE((*log)->Rotate().ok());
+    ASSERT_TRUE(
+        (*log)->Append(MakeEvent(FeedbackType::kExactLabel, 2, 1)).ok());
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().string() != (*log)->SealedSegments()[0]) {
+        torn = entry.path().string();
+      }
+    }
+  }
+  // A crash mid-append of the segment's first record: its only line is torn.
+  ASSERT_FALSE(torn.empty());
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) - 1);
+
+  auto reopened = OpenLog(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(torn));
+  EXPECT_EQ((*reopened)->next_seq(), 2u);
+  ASSERT_TRUE(
+      (*reopened)->Append(MakeEvent(FeedbackType::kExactLabel, 3, 0)).ok());
+  ASSERT_TRUE((*reopened)->Rotate().ok());
+  const std::vector<std::string> sealed = (*reopened)->SealedSegments();
+  ASSERT_EQ(sealed.size(), 2u);
+  EXPECT_NE(sealed[1], torn);
+  // ReplayAll is strict: no segment may carry a torn tail.
+  const Result<std::vector<FeedbackEvent>> events = (*reopened)->ReplayAll();
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 3u);
+  EXPECT_EQ(events->back().seq, 2u);
+  EXPECT_EQ(events->back().row, 3);
+}
+
 TEST(EventLogTest, MidRecordBitFlipIsRejectedNotTruncated) {
   const std::string dir = FreshDir("event_log_bit_flip");
   auto log = OpenLog(dir);

@@ -126,7 +126,7 @@ std::shared_ptr<const ModelSnapshot>* ServeTest::snapshot_b_ = nullptr;
 
 TEST_F(ServeTest, ServedEqualsOfflineAcrossBatchSizes) {
   const int n = std::min(split_->train.size(), 48);
-  for (int batch_size : {1, 4, 32}) {
+  for (int batch_size : {1, 4, 8, 32}) {
     PredictionServiceOptions options;
     options.max_batch_size = batch_size;
     PredictionService service(options);

@@ -2,17 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.h"
 #include "serve/chaos_scenario.h"
 #include "serve/rollout.h"
 #include "serve/serve_config.h"
 #include "serve/snapshot_registry.h"
 #include "util/fault.h"
+#include "util/trace.h"
 
 namespace activedp {
 namespace {
@@ -253,9 +258,26 @@ TEST_F(ShardRouterTest, TenantQuotaRejectsWithStructuredInfo) {
 }
 
 TEST_F(ShardRouterTest, PerTenantRolloutNeverTouchesOtherTenants) {
+  const std::string incident_root =
+      testing::TempDir() + "/shard_router_incidents";
+  std::filesystem::remove_all(incident_root);
+  FlightRecorderOptions recorder;
+  recorder.incident_dir = incident_root;
+  FlightRecorder::Global().Enable(recorder);
+  Tracer::Global().Enable();
+
   ShardRouter router(FastConfig(2));
   ASSERT_TRUE(router.AddTenant("promoting").ok());
   ASSERT_TRUE(router.AddTenant("rolling-back").ok());
+  // Bystanders: a quiet tenant, and a noisy one whose warm EWMA sheds every
+  // priority-0 request (as in OneTenantsOverloadNeverShedsAnother).
+  TenantLimits tight;
+  tight.max_queue_delay_ms = 0.0001;
+  ASSERT_TRUE(router.AddTenant("quiet").ok());
+  ASSERT_TRUE(router.AddTenant("noisy", tight).ok());
+  ASSERT_TRUE(router.SetTenantSnapshot("quiet", fixture_->snapshot_a).ok());
+  ASSERT_TRUE(router.SetTenantSnapshot("noisy", fixture_->snapshot_a).ok());
+  ASSERT_TRUE(router.Predict(TenantRequest("noisy", 0)).ok());
 
   const auto make_registry = [&](const std::string& tag) {
     const std::string manifest =
@@ -288,15 +310,33 @@ TEST_F(ShardRouterTest, PerTenantRolloutNeverTouchesOtherTenants) {
   options.seed = 11;
   options.client_threads = 2;
 
+  // Both bystanders get traffic from two clients while the rollouts run.
+  std::atomic<bool> rollouts_done{false};
+  std::atomic<int> quiet_wrong{0};
+  std::atomic<int> noisy_not_shed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = c; i == c || !rollouts_done.load(); i += 2) {
+        const uint64_t want = fixture_->digests_a[i % fixture_->trace.size()];
+        const ServeReply quiet = router.Predict(TenantRequest("quiet", i));
+        if (!quiet.ok() || PredictionDigest(quiet.prediction) != want) {
+          quiet_wrong.fetch_add(1);
+        }
+        const ServeReply noisy = router.Predict(TenantRequest("noisy", i));
+        if (noisy.ok() || !noisy.reject.has_value() ||
+            noisy.reject->reason != RejectReason::kOverloaded ||
+            noisy.reject->retry_after_ms < 1.0) {
+          noisy_not_shed.fetch_add(1);
+        }
+      }
+    });
+  }
+
   // Tenant "promoting": healthy candidate, full promote. Its registry
   // activates the candidate and only *its* snapshot swaps.
   Result<RolloutReport> promoted = RunTenantStagedRollout(
       router, "promoting", promote_candidate, fixture_->trace, options);
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  EXPECT_EQ(promoted->decision, RolloutDecision::kPromote)
-      << promoted->Summary();
-  EXPECT_EQ(promoting_registry->active_id(),
-            std::optional<int64_t>(promote_candidate));
 
   // Tenant "rolling-back": the canary fault site makes its candidate look
   // unhealthy, forcing a deterministic rollback. Its registry condemns the
@@ -311,6 +351,14 @@ TEST_F(ShardRouterTest, PerTenantRolloutNeverTouchesOtherTenants) {
                                          options);
     EXPECT_GT(scope.fire_count(), 0);
   }
+  rollouts_done.store(true);
+  for (std::thread& client : clients) client.join();
+
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(promoted->decision, RolloutDecision::kPromote)
+      << promoted->Summary();
+  EXPECT_EQ(promoting_registry->active_id(),
+            std::optional<int64_t>(promote_candidate));
   ASSERT_TRUE(rolled_back.ok()) << rolled_back.status().ToString();
   EXPECT_EQ(rolled_back->decision, RolloutDecision::kRollback)
       << rolled_back->Summary();
@@ -318,6 +366,17 @@ TEST_F(ShardRouterTest, PerTenantRolloutNeverTouchesOtherTenants) {
             SnapshotStatus::kFailed);
   EXPECT_NE(rollback_registry->active_id(),
             std::optional<int64_t>(rollback_candidate));
+
+  EXPECT_EQ(quiet_wrong.load(), 0);
+  EXPECT_EQ(router.StatsFor("quiet")->shed, 0);
+  EXPECT_EQ(noisy_not_shed.load(), 0);
+  EXPECT_GE(router.StatsFor("noisy")->shed, 2);
+  // priority >= 1 bypasses the noisy tenant's shedder, bitwise correct.
+  ServeRequest urgent = TenantRequest("noisy", 5);
+  urgent.priority = 1;
+  const ServeReply probe = router.Predict(std::move(urgent));
+  ASSERT_TRUE(probe.ok()) << probe.status.ToString();
+  EXPECT_EQ(PredictionDigest(probe.prediction), fixture_->digests_a[5]);
 
   // Cross-tenant digest gate: "promoting" serves the candidate bitwise,
   // "rolling-back" still serves the baseline bitwise — neither rollout
@@ -334,6 +393,28 @@ TEST_F(ShardRouterTest, PerTenantRolloutNeverTouchesOtherTenants) {
     EXPECT_EQ(PredictionDigest(stable_reply.prediction),
               fixture_->digests_a[i]);
   }
+  EXPECT_TRUE(router.CheckHealth().ok());
+
+  // Each decision is one tenant-tagged instant, and the rollback is the only
+  // incident: one verified dump.
+  const RunTrace trace = Tracer::Global().Collect();
+  Tracer::Global().Disable();
+  FlightRecorder::Global().Disable();
+  std::vector<std::string> promotes;
+  std::vector<std::string> rollbacks;
+  for (const TraceEventRecord& event : trace.events) {
+    if (event.category != "serve.rollout") continue;
+    if (event.name == "promote") promotes.push_back(event.detail);
+    if (event.name == "rollback") rollbacks.push_back(event.detail);
+  }
+  ASSERT_EQ(promotes.size(), 1u);
+  EXPECT_NE(promotes[0].find("tenant=promoting "), std::string::npos);
+  ASSERT_EQ(rollbacks.size(), 1u);
+  EXPECT_NE(rollbacks[0].find("tenant=rolling-back "), std::string::npos);
+  const IncidentCheck incidents = CheckIncidentDumps(
+      incident_root, IncidentPolicy::kExactlyOne, "rollout.rollback");
+  EXPECT_TRUE(incidents.failures.empty())
+      << ::testing::PrintToString(incidents.failures);
 }
 
 TEST_F(ShardRouterTest, ShutdownRejectsWithStructuredReason) {
