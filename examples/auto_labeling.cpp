@@ -98,10 +98,14 @@ int main() {
     for (int row : seed_rows) rows.push_back(train.example(row));
     return rows;
   }());
-  Result<std::vector<int>> picked = LabelPick(
-      static_cast<int>(all_lfs.size()), context.num_classes,
-      ApplyLfs(all_lfs, split->valid), context.valid_labels,
-      ApplyLfs(all_lfs, seed_view), seed_labels, LabelPickOptions{});
+  std::vector<LfColumnStats> valid_stats;
+  for (const LfPtr& lf : all_lfs) {
+    valid_stats.push_back(
+        ComputeColumnStats(ApplyLf(*lf, split->valid), context.valid_labels));
+  }
+  Result<std::vector<int>> picked =
+      LabelPick(context.num_classes, valid_stats, ApplyLfs(all_lfs, seed_view),
+                seed_labels, LabelPickOptions{});
   std::vector<LfPtr> lfs;
   if (picked.ok()) {
     for (int j : *picked) lfs.push_back(all_lfs[j]);

@@ -74,12 +74,12 @@ class Session {
     lfs_.push_back(lf);
     train_matrix_.AddColumn(ApplyLf(*lf, split_->train));
     if (label_model_->Fit(train_matrix_, context_.num_classes).ok()) {
-      lm_ready_ = true;
-      lm_proba_.assign(train_matrix_.num_rows(), {});
+      lm_ready_ = label_model_
+                      ->PredictProbaTable(train_matrix_, context_.num_classes,
+                                          &lm_proba_)
+                      .ok();
       lm_active_.assign(train_matrix_.num_rows(), false);
       for (int i = 0; i < train_matrix_.num_rows(); ++i) {
-        lm_proba_[i] =
-            label_model_->PredictProba(train_matrix_.Row(i)).value();
         lm_active_[i] = train_matrix_.AnyActive(i);
       }
     }
@@ -92,7 +92,7 @@ class Session {
     }
     std::vector<std::vector<double>> soft(split_->train.size());
     for (int i = 0; i < split_->train.size(); ++i) {
-      if (lm_active_[i]) soft[i] = lm_proba_[i];
+      if (lm_active_[i]) soft[i] = lm_proba_.RowVector(i);
     }
     const LabelQuality quality = MeasureLabelQuality(soft, split_->train);
     double end_accuracy = 0.0;
@@ -122,7 +122,7 @@ class Session {
   std::vector<bool> queried_;
   std::unique_ptr<LabelModel> label_model_;
   bool lm_ready_ = false;
-  std::vector<std::vector<double>> lm_proba_;
+  ProbaTable lm_proba_;
   std::vector<bool> lm_active_;
 };
 

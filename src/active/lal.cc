@@ -185,7 +185,7 @@ int LalSampler::SelectQuery(const SamplerContext& context, Rng& rng) {
   if (!trained_ || context.al_proba == nullptr) {
     return internal::RandomUnqueried(context, rng);
   }
-  const auto& proba = *context.al_proba;
+  const ProbaTable& proba = *context.al_proba;
   const auto& queried = *context.queried;
   const int n = context.train->size();
 
@@ -194,7 +194,8 @@ int LalSampler::SelectQuery(const SamplerContext& context, Rng& rng) {
   for (int i = 0; i < n; ++i) {
     if (queried[i]) continue;
     unqueried.push_back(i);
-    pmaxes.push_back(Max(proba[i]));
+    const double* p = proba.row(i);
+    pmaxes.push_back(*std::max_element(p, p + proba.k()));
   }
   if (unqueried.empty()) return -1;
   const double mean_pmax = Mean(pmaxes);
@@ -216,7 +217,7 @@ int LalSampler::SelectQuery(const SamplerContext& context, Rng& rng) {
   double best_gain = -1e300;
   for (int i : pool) {
     const std::vector<double> phi =
-        StateFeatures(proba[i], frac_labeled,
+        StateFeatures(proba.RowVector(i), frac_labeled,
                       context.labeled_positive_fraction, mean_pmax, var_pmax);
     const double gain = forest_.Predict(phi);
     if (gain > best_gain) {

@@ -7,6 +7,7 @@
 
 #include "data/dataset.h"
 #include "lf/lf_candidates.h"
+#include "math/proba_table.h"
 #include "util/rng.h"
 
 namespace activedp {
@@ -18,10 +19,10 @@ namespace activedp {
 struct SamplerContext {
   const Dataset* train = nullptr;
   /// Active-learning model probabilities per training row, or null.
-  const std::vector<std::vector<double>>* al_proba = nullptr;
+  const ProbaTable* al_proba = nullptr;
   /// Label-model probabilities per training row (prior on uncovered rows),
   /// or null when no LF exists yet.
-  const std::vector<std::vector<double>>* lm_proba = nullptr;
+  const ProbaTable* lm_proba = nullptr;
   /// Whether at least one selected LF fires on each row (aligned with
   /// lm_proba), or null.
   const std::vector<bool>* lm_active = nullptr;
@@ -46,6 +47,9 @@ class Sampler {
   /// Index of the next query in [0, train->size()), or -1 when every
   /// instance has been queried.
   virtual int SelectQuery(const SamplerContext& context, Rng& rng) = 0;
+  /// Called after a step refilled a probability table, so work cached from
+  /// the tables is redone then, not in the next SelectQuery. Default: no-op.
+  virtual void Refresh(const SamplerContext& context) { (void)context; }
 };
 
 enum class SamplerType {

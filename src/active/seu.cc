@@ -38,7 +38,7 @@ double SeuSampler::Utility(
     // beliefs (no label model yet) contribute the uncovered bonus only.
     double p_correct = 0.5;
     if (context.lm_proba != nullptr) {
-      p_correct = (*context.lm_proba)[row][lf.label()];
+      p_correct = context.lm_proba->row(row)[lf.label()];
     }
     const bool covered =
         context.lm_active != nullptr && (*context.lm_active)[row];

@@ -1,23 +1,21 @@
 #include "active/uncertainty.h"
 
-#include "math/vector_ops.h"
-
 namespace activedp {
 
 int UncertaintySampler::SelectQuery(const SamplerContext& context, Rng& rng) {
   if (context.al_proba == nullptr) {
     return internal::RandomUnqueried(context, rng);
   }
-  const auto& proba = *context.al_proba;
+  const ProbaTable& proba = *context.al_proba;
   const auto& queried = *context.queried;
   int best = -1;
   double best_score = -1.0;
-  for (size_t i = 0; i < proba.size(); ++i) {
+  for (int i = 0; i < proba.rows(); ++i) {
     if (queried[i]) continue;
-    const double score = Entropy(proba[i]);
+    const double score = proba.entropy(i);
     if (score > best_score) {
       best_score = score;
-      best = static_cast<int>(i);
+      best = i;
     }
   }
   return best;

@@ -98,8 +98,7 @@ Status ActiveDp::Step() {
   {
     TraceSpan span("lf.apply");
     span.AddArg("num_lfs", static_cast<int64_t>(lfs_.size()));
-    train_matrix_.AddColumn(ApplyLf(*lf, context_->split->train));
-    valid_matrix_.AddColumn(ApplyLf(*lf, context_->split->valid));
+    AddLfColumns(*lf);
   }
 
   // The LF was designed while looking at the query instance, so it fires on
@@ -111,7 +110,13 @@ Status ActiveDp::Step() {
   // A budget trip inside either retrain propagates (DESIGN.md §7) and
   // abandons the rest of the step; the LF and its pseudo-label stay.
   RETURN_IF_ERROR(RetrainAlModel());
-  return RetrainLabelModel();
+  RETURN_IF_ERROR(RetrainLabelModel());
+  // The refits refilled the probability tables: the next question's scores
+  // are computed now, so a declined step after this one costs one scan.
+  TraceSpan span("sampler.select");
+  span.AddArg("refresh", 1);
+  sampler_->Refresh(BuildSamplerContext());
+  return Status::Ok();
 }
 
 Status ActiveDp::Restore(const SessionState& state) {
@@ -127,8 +132,7 @@ Status ActiveDp::Restore(const SessionState& state) {
   for (size_t i = 0; i < state.lfs.size(); ++i) {
     const LfPtr& lf = state.lfs[i];
     lfs_.push_back(lf);
-    train_matrix_.AddColumn(ApplyLf(*lf, context_->split->train));
-    valid_matrix_.AddColumn(ApplyLf(*lf, context_->split->valid));
+    AddLfColumns(*lf);
     const int query = state.query_indices[i];
     if (query < 0) continue;  // hand-written LF: no pseudo-label anchor
     if (query >= n) {
@@ -144,8 +148,17 @@ Status ActiveDp::Restore(const SessionState& state) {
   if (!lfs_.empty()) {
     RETURN_IF_ERROR(RetrainAlModel());
     RETURN_IF_ERROR(RetrainLabelModel());
+    sampler_->Refresh(BuildSamplerContext());
   }
   return Status::Ok();
+}
+
+void ActiveDp::AddLfColumns(const LabelFunction& lf) {
+  train_matrix_.AddColumn(ApplyLf(lf, context_->split->train));
+  std::vector<int8_t> valid_column = ApplyLf(lf, context_->split->valid);
+  valid_stats_.push_back(
+      ComputeColumnStats(valid_column, context_->valid_labels));
+  valid_matrix_.AddColumn(std::move(valid_column));
 }
 
 SessionState ActiveDp::Snapshot() const {
@@ -196,7 +209,7 @@ Status ActiveDp::RetrainAlModel() {
     return Status::Ok();
   }
   al_model_ = std::move(*model);
-  al_proba_train_ = AlProba(context_->train_features);
+  al_model_->PredictProbaTable(context_->train_features, &al_proba_train_);
   return Status::Ok();
 }
 
@@ -225,7 +238,7 @@ Status ActiveDp::RetrainLabelModel() {
     TraceSpan pick_span("label_pick");
     pick_span.AddArg("num_lfs", m);
     Result<std::vector<int>> picked = LabelPick(
-        m, context_->num_classes, valid_matrix_, context_->valid_labels,
+        context_->num_classes, valid_stats_,
         train_matrix_.SelectRows(query_indices_), pseudo_labels_,
         options_.label_pick, &recovery_);
     if (IsBudgetTrip(picked.status())) return picked.status();
@@ -327,33 +340,18 @@ Status ActiveDp::RetrainLabelModel() {
   return Status::Ok();
 }
 
-std::vector<std::vector<double>> ActiveDp::AlProba(
-    const std::vector<SparseVector>& features) const {
-  std::vector<std::vector<double>> proba(features.size());
-  if (!al_model_.has_value()) return proba;  // empty rows = no prediction
-  for (size_t i = 0; i < features.size(); ++i) {
-    proba[i] = al_model_->PredictProba(features[i]);
-  }
-  return proba;
-}
-
-Status ActiveDp::LabelModelPredictions(
-    const LabelMatrix& matrix, std::vector<std::vector<double>>* proba,
-    std::vector<bool>* active) const {
-  const LabelModel* model = current_label_model();
-  proba->assign(matrix.num_rows(), {});
+Status ActiveDp::LabelModelPredictions(const LabelMatrix& matrix,
+                                       ProbaTable* proba,
+                                       std::vector<bool>* active) const {
+  RETURN_IF_ERROR(current_label_model()->PredictProbaTable(
+      matrix, context_->num_classes, proba));
   active->assign(matrix.num_rows(), false);
-  matrix.EnsureRows();
-  const int num_cols = matrix.num_cols();
   for (int i = 0; i < matrix.num_rows(); ++i) {
-    ASSIGN_OR_RETURN((*proba)[i], model->PredictProbaSparse(
-                                      matrix.ActiveRow(i), num_cols));
     (*active)[i] = matrix.AnyActive(i);
   }
   // Stage-boundary guard: nothing non-finite or unnormalized leaves the
   // label-model stage.
-  return ValidateProbaRows(*proba, context_->num_classes,
-                           "label-model predictions");
+  return ValidateProbaRows(*proba, "label-model predictions");
 }
 
 std::vector<std::vector<double>> ActiveDp::CurrentTrainingLabels() {
@@ -362,37 +360,46 @@ std::vector<std::vector<double>> ActiveDp::CurrentTrainingLabels() {
     return std::vector<std::vector<double>>(n);
   }
 
-  std::vector<std::vector<double>> lm_proba_train = lm_proba_train_;
-  std::vector<bool> lm_active_train = lm_active_train_;
-  if (!label_model_ready_) {
-    lm_proba_train.assign(n, {});
-    lm_active_train.assign(n, false);
+  // The cached tables hold the current models' predictions.
+  std::vector<std::vector<double>> lm_proba_train(n);
+  std::vector<bool> lm_active_train(n, false);
+  if (label_model_ready_) {
+    lm_proba_train = lm_proba_train_.ToRows();
+    lm_active_train = lm_active_train_;
   }
 
   if (!options_.use_confusion) {
     // DP-only inference: label-model predictions on covered rows.
     std::vector<std::vector<double>> soft(n);
     for (int i = 0; i < n; ++i) {
-      if (lm_active_train[i]) soft[i] = lm_proba_train[i];
+      if (lm_active_train[i]) soft[i] = std::move(lm_proba_train[i]);
     }
     return soft;
   }
 
   // ConFusion: tune τ on validation, aggregate on train (Eq. 1).
   TraceSpan span("confusion");
-  const std::vector<std::vector<double>> al_valid =
-      AlProba(context_->valid_features);
+  // Empty AL rows mean "no prediction".
+  std::vector<std::vector<double>> al_valid(context_->split->valid.size());
+  if (al_model_.has_value()) {
+    ProbaTable valid_table;
+    al_model_->PredictProbaTable(context_->valid_features, &valid_table);
+    al_valid = valid_table.ToRows();
+  }
   std::vector<std::vector<double>> lm_valid(context_->split->valid.size());
   std::vector<bool> lm_valid_active(context_->split->valid.size(), false);
   if (label_model_ready_) {
-    const Status valid_predictions = LabelModelPredictions(
-        valid_matrix_.SelectColumns(selected_), &lm_valid, &lm_valid_active);
-    if (!valid_predictions.ok()) {
+    ProbaTable valid_table;
+    const Status valid_predictions =
+        LabelModelPredictions(valid_matrix_.SelectColumns(selected_),
+                              &valid_table, &lm_valid_active);
+    if (valid_predictions.ok()) {
+      lm_valid = valid_table.ToRows();
+    } else {
       // Tuning falls back to treating the label model as inactive on
       // validation; training predictions were already validated.
       recovery_.Record("confusion", valid_predictions.ToString(),
                        "tuning threshold without label-model votes");
-      lm_valid.assign(context_->split->valid.size(), {});
       lm_valid_active.assign(context_->split->valid.size(), false);
     }
   }
@@ -401,7 +408,8 @@ std::vector<std::vector<double>> ActiveDp::CurrentTrainingLabels() {
                                context_->valid_labels, options_.tune_objective);
 
   const std::vector<std::vector<double>> al_train =
-      AlProba(context_->train_features);
+      al_model_.has_value() ? al_proba_train_.ToRows()
+                            : std::vector<std::vector<double>>(n);
   AggregatedLabels aggregated = ConFusion::Aggregate(
       al_train, lm_proba_train, lm_active_train, last_threshold_);
   return std::move(aggregated.soft);

@@ -95,6 +95,10 @@ class ActiveDp : public InteractiveFramework {
   const std::vector<int>& selected_lfs() const { return selected_; }
   const std::vector<int>& query_indices() const { return query_indices_; }
   const std::vector<int>& pseudo_labels() const { return pseudo_labels_; }
+  /// LabelPick's per-LF validation statistics, computed once per LF.
+  const std::vector<LfColumnStats>& valid_column_stats() const {
+    return valid_stats_;
+  }
   bool has_al_model() const { return al_model_.has_value(); }
   /// The current active-learning model, or null before one is trained.
   const LogisticRegression* al_model() const {
@@ -142,14 +146,12 @@ class ActiveDp : public InteractiveFramework {
   Result<double> ValidationLabelModelAccuracy(
       const std::vector<int>& columns) const;
   SamplerContext BuildSamplerContext() const;
-  /// AL probabilities for a feature set (empty inner vectors without model).
-  std::vector<std::vector<double>> AlProba(
-      const std::vector<SparseVector>& features) const;
+  /// Appends an LF's train and validation columns and validation stats.
+  void AddLfColumns(const LabelFunction& lf);
   /// Label-model probabilities + activity over a weak-label matrix
   /// restricted to the selected LFs. Fails (instead of propagating garbage)
   /// when the model emits an invalid distribution.
-  Status LabelModelPredictions(const LabelMatrix& matrix,
-                               std::vector<std::vector<double>>* proba,
+  Status LabelModelPredictions(const LabelMatrix& matrix, ProbaTable* proba,
                                std::vector<bool>* active) const;
 
   const FrameworkContext* context_;
@@ -162,6 +164,7 @@ class ActiveDp : public InteractiveFramework {
   std::vector<LfPtr> lfs_;
   LabelMatrix train_matrix_;
   LabelMatrix valid_matrix_;
+  std::vector<LfColumnStats> valid_stats_;
   std::vector<int> query_indices_;
   std::vector<int> pseudo_labels_;
   std::vector<bool> queried_;
@@ -179,9 +182,9 @@ class ActiveDp : public InteractiveFramework {
   /// so glasso retries draw from the same per-site budget and log.
   Retrier retrier_;
 
-  // Caches refreshed after each retraining.
-  std::vector<std::vector<double>> al_proba_train_;
-  std::vector<std::vector<double>> lm_proba_train_;
+  // Caches refilled after each retraining (DESIGN.md §13, step caches).
+  ProbaTable al_proba_train_;
+  ProbaTable lm_proba_train_;
   std::vector<bool> lm_active_train_;
   double last_threshold_ = 0.0;
 };

@@ -42,19 +42,12 @@ Status NemoFramework::Step() {
 
   const Status fit = label_model_->Fit(train_matrix_, context_->num_classes);
   if (!fit.ok()) return Status::Ok();
-  label_model_ready_ = true;
-  lm_proba_train_.assign(train_matrix_.num_rows(), {});
+  // Treat an unusable model like a failed fit: no labels this round.
+  const Status predicted = label_model_->PredictProbaTable(
+      train_matrix_, context_->num_classes, &lm_proba_train_);
+  label_model_ready_ = predicted.ok();
   lm_active_train_.assign(train_matrix_.num_rows(), false);
-  train_matrix_.EnsureRows();
   for (int i = 0; i < train_matrix_.num_rows(); ++i) {
-    Result<std::vector<double>> p = label_model_->PredictProbaSparse(
-        train_matrix_.ActiveRow(i), train_matrix_.num_cols());
-    if (!p.ok()) {
-      // Treat an unusable model like a failed fit: no labels this round.
-      label_model_ready_ = false;
-      return Status::Ok();
-    }
-    lm_proba_train_[i] = std::move(*p);
     lm_active_train_[i] = train_matrix_.AnyActive(i);
   }
   return Status::Ok();
@@ -65,7 +58,7 @@ std::vector<std::vector<double>> NemoFramework::CurrentTrainingLabels() {
   std::vector<std::vector<double>> soft(n);
   if (!label_model_ready_) return soft;
   for (int i = 0; i < n; ++i) {
-    if (lm_active_train_[i]) soft[i] = lm_proba_train_[i];
+    if (lm_active_train_[i]) soft[i] = lm_proba_train_.RowVector(i);
   }
   return soft;
 }
@@ -338,7 +331,7 @@ Status RlfFramework::Step() {
     double best = -1.0;
     for (int i = 0; i < n; ++i) {
       if (labeled_[i]) continue;
-      const double entropy = Entropy(lm_proba_train_[i]);
+      const double entropy = lm_proba_train_.entropy(i);
       if (entropy > best) {
         best = entropy;
         target = i;
@@ -366,17 +359,9 @@ Status RlfFramework::Step() {
   if (!label_model_->Fit(train_matrix_, context_->num_classes).ok()) {
     return Status::Ok();
   }
-  label_model_ready_ = true;
-  lm_proba_train_.assign(n, {});
-  for (int i = 0; i < n; ++i) {
-    Result<std::vector<double>> p =
-        label_model_->PredictProba(train_matrix_.Row(i));
-    if (!p.ok()) {
-      label_model_ready_ = false;
-      return Status::Ok();
-    }
-    lm_proba_train_[i] = std::move(*p);
-  }
+  const Status predicted = label_model_->PredictProbaTable(
+      train_matrix_, context_->num_classes, &lm_proba_train_);
+  label_model_ready_ = predicted.ok();
   return Status::Ok();
 }
 
@@ -388,7 +373,7 @@ std::vector<std::vector<double>> RlfFramework::CurrentTrainingLabels() {
   std::vector<std::vector<double>> soft(n);
   if (label_model_ready_) {
     for (int i = 0; i < n; ++i) {
-      if (train_matrix_.AnyActive(i)) soft[i] = lm_proba_train_[i];
+      if (train_matrix_.AnyActive(i)) soft[i] = lm_proba_train_.RowVector(i);
     }
   }
   return soft;
@@ -433,7 +418,7 @@ Status ActiveWeasulFramework::Step() {
     double best = -1.0;
     for (int i = 0; i < n; ++i) {
       if (labeled_[i]) continue;
-      const double entropy = Entropy(lm_proba_train_[i]);
+      const double entropy = lm_proba_train_.entropy(i);
       if (entropy > best) {
         best = entropy;
         target = i;
@@ -462,17 +447,9 @@ Status ActiveWeasulFramework::Step() {
            .ok()) {
     return Status::Ok();
   }
-  label_model_ready_ = true;
-  lm_proba_train_.assign(n, {});
-  for (int i = 0; i < n; ++i) {
-    Result<std::vector<double>> p =
-        label_model_.PredictProba(train_matrix_.Row(i));
-    if (!p.ok()) {
-      label_model_ready_ = false;
-      return Status::Ok();
-    }
-    lm_proba_train_[i] = std::move(*p);
-  }
+  const Status predicted = label_model_.PredictProbaTable(
+      train_matrix_, context_->num_classes, &lm_proba_train_);
+  label_model_ready_ = predicted.ok();
   return Status::Ok();
 }
 
@@ -483,7 +460,7 @@ ActiveWeasulFramework::CurrentTrainingLabels() {
   std::vector<std::vector<double>> soft(n);
   if (label_model_ready_) {
     for (int i = 0; i < n; ++i) {
-      if (train_matrix_.AnyActive(i)) soft[i] = lm_proba_train_[i];
+      if (train_matrix_.AnyActive(i)) soft[i] = lm_proba_train_.RowVector(i);
     }
   }
   return soft;
@@ -516,10 +493,7 @@ void UncertaintyFramework::Retrain() {
       x, labels_, context_->num_classes, context_->feature_dim, lr);
   if (!model.ok()) return;
   model_ = std::move(*model);
-  proba_train_.assign(context_->train_features.size(), {});
-  for (size_t i = 0; i < context_->train_features.size(); ++i) {
-    proba_train_[i] = model_->PredictProba(context_->train_features[i]);
-  }
+  model_->PredictProbaTable(context_->train_features, &proba_train_);
 }
 
 Status UncertaintyFramework::Step() {
@@ -529,7 +503,7 @@ Status UncertaintyFramework::Step() {
     double best = -1.0;
     for (int i = 0; i < n; ++i) {
       if (queried_[i]) continue;
-      const double entropy = Entropy(proba_train_[i]);
+      const double entropy = proba_train_.entropy(i);
       if (entropy > best) {
         best = entropy;
         target = i;

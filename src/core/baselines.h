@@ -49,7 +49,7 @@ class NemoFramework : public InteractiveFramework {
   std::vector<bool> queried_;
   std::unique_ptr<LabelModel> label_model_;
   bool label_model_ready_ = false;
-  std::vector<std::vector<double>> lm_proba_train_;
+  ProbaTable lm_proba_train_;
   std::vector<bool> lm_active_train_;
 };
 
@@ -125,7 +125,7 @@ class RlfFramework : public InteractiveFramework {
   std::vector<int> labeled_values_;
   std::unique_ptr<LabelModel> label_model_;
   bool label_model_ready_ = false;
-  std::vector<std::vector<double>> lm_proba_train_;
+  ProbaTable lm_proba_train_;
 };
 
 /// Active WeaSuL [3] — the remaining row of the paper's Table 1: each
@@ -160,7 +160,7 @@ class ActiveWeasulFramework : public InteractiveFramework {
   std::vector<int> labeled_values_;
   DawidSkeneModel label_model_;
   bool label_model_ready_ = false;
-  std::vector<std::vector<double>> lm_proba_train_;
+  ProbaTable lm_proba_train_;
 };
 
 /// Classical uncertainty sampling [16]: pure active learning. Each
@@ -189,7 +189,7 @@ class UncertaintyFramework : public InteractiveFramework {
   std::vector<int> labeled_rows_;
   std::vector<int> labels_;
   std::optional<LogisticRegression> model_;
-  std::vector<std::vector<double>> proba_train_;
+  ProbaTable proba_train_;
 };
 
 }  // namespace activedp

@@ -13,15 +13,12 @@ double EncodeWeakLabel(int weak_label, int num_classes) {
   return static_cast<double>(weak_label) - (num_classes - 1) / 2.0;
 }
 
-Result<std::vector<int>> LabelPick(int num_lfs, int num_classes,
-                                   const LabelMatrix& valid_matrix,
-                                   const std::vector<int>& valid_labels,
-                                   const LabelMatrix& query_matrix,
-                                   const std::vector<int>& pseudo_labels,
-                                   const LabelPickOptions& options,
-                                   RecoveryLog* recovery) {
+Result<std::vector<int>> LabelPick(
+    int num_classes, const std::vector<LfColumnStats>& valid_stats,
+    const LabelMatrix& query_matrix, const std::vector<int>& pseudo_labels,
+    const LabelPickOptions& options, RecoveryLog* recovery) {
+  const int num_lfs = static_cast<int>(valid_stats.size());
   if (num_lfs <= 0) return Status::InvalidArgument("no LFs to select from");
-  CHECK_EQ(valid_matrix.num_cols(), num_lfs);
   CHECK_EQ(query_matrix.num_cols(), num_lfs);
   CHECK_EQ(query_matrix.num_rows(),
            static_cast<int>(pseudo_labels.size()));
@@ -31,8 +28,7 @@ Result<std::vector<int>> LabelPick(int num_lfs, int num_classes,
   if (options.prune_by_validation_accuracy) {
     const double random_accuracy = 1.0 / num_classes;
     for (int j = 0; j < num_lfs; ++j) {
-      const LfColumnStats stats =
-          ComputeColumnStats(valid_matrix.column(j), valid_labels);
+      const LfColumnStats& stats = valid_stats[j];
       // Too little evidence (including never firing on validation) is not
       // "worse than random"; keep such LFs.
       if (stats.activations < options.min_activations_to_prune ||

@@ -36,19 +36,17 @@ struct LabelPickOptions {
 /// non-empty whenever `lfs` is non-empty (falls back to the survivors of
 /// step 1, or to all LFs, when the blanket is empty/degenerate).
 ///
-/// `valid_matrix` holds LF outputs on the validation split (one column per
-/// LF, aligned with `lfs`); `query_matrix` holds LF outputs on the queried
-/// instances (one row per query); `pseudo_labels` are the ỹ_l inferred from
-/// user feedback. When `recovery` is non-null, a blanket failure that
-/// degrades to accuracy-pruning-only selection is recorded there; a budget
-/// trip (DeadlineExceeded / Cancelled) is returned instead.
-Result<std::vector<int>> LabelPick(int num_lfs, int num_classes,
-                                   const LabelMatrix& valid_matrix,
-                                   const std::vector<int>& valid_labels,
-                                   const LabelMatrix& query_matrix,
-                                   const std::vector<int>& pseudo_labels,
-                                   const LabelPickOptions& options,
-                                   RecoveryLog* recovery = nullptr);
+/// `valid_stats` holds each LF's ComputeColumnStats on the validation split
+/// (aligned with `lfs`; a column never changes once added, so an interactive
+/// session computes them once per LF); `query_matrix` holds LF outputs on
+/// the queried instances (one row per query); `pseudo_labels` are the ỹ_l
+/// inferred from user feedback. When `recovery` is non-null, a blanket
+/// failure that degrades to accuracy-pruning-only selection is recorded
+/// there; a budget trip (DeadlineExceeded / Cancelled) is returned instead.
+Result<std::vector<int>> LabelPick(
+    int num_classes, const std::vector<LfColumnStats>& valid_stats,
+    const LabelMatrix& query_matrix, const std::vector<int>& pseudo_labels,
+    const LabelPickOptions& options, RecoveryLog* recovery = nullptr);
 
 /// Encodes weak labels for the graphical model: abstain -> 0; binary
 /// classes -> ±1; multiclass c -> c - (C-1)/2 (centered).

@@ -1,5 +1,7 @@
 #include "labelmodel/label_model.h"
 
+#include <algorithm>
+
 #include "labelmodel/dawid_skene.h"
 #include "labelmodel/generative_model.h"
 #include "labelmodel/majority_vote.h"
@@ -26,6 +28,32 @@ Result<std::vector<double>> LabelModel::PredictProbaSparse(
   std::vector<int> weak_labels(num_cols, kAbstain);
   for (int k = 0; k < row.nnz; ++k) weak_labels[row.cols[k]] = row.labels[k];
   return PredictProba(weak_labels);
+}
+
+Status LabelModel::PredictProbaInto(const ActiveRowView& row, int num_cols,
+                                    int num_classes, double* out) const {
+  ASSIGN_OR_RETURN(const std::vector<double> proba,
+                   PredictProbaSparse(row, num_cols));
+  if (static_cast<int>(proba.size()) != num_classes) {
+    return Status::Internal(name() + " predicted " +
+                            std::to_string(proba.size()) + " classes, not " +
+                            std::to_string(num_classes));
+  }
+  std::copy(proba.begin(), proba.end(), out);
+  return Status::Ok();
+}
+
+Status LabelModel::PredictProbaTable(const LabelMatrix& matrix,
+                                     int num_classes,
+                                     ProbaTable* table) const {
+  matrix.EnsureRows();
+  table->Resize(matrix.num_rows(), num_classes);
+  for (int i = 0; i < matrix.num_rows(); ++i) {
+    RETURN_IF_ERROR(PredictProbaInto(matrix.ActiveRow(i), matrix.num_cols(),
+                                     num_classes, table->mutable_row(i)));
+  }
+  table->Seal();
+  return Status::Ok();
 }
 
 Result<std::vector<std::vector<double>>> LabelModel::PredictProbaAll(

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lf/lf_applier.h"
+#include "math/proba_table.h"
 #include "util/deadline.h"
 #include "util/result.h"
 
@@ -42,6 +43,12 @@ class LabelModel {
   virtual Result<std::vector<double>> PredictProbaSparse(
       const ActiveRowView& row, int num_cols) const;
 
+  /// PredictProbaSparse's bits written to out[0..num_classes). The base copies
+  /// PredictProbaSparse (Internal on another width); the MeTaL-style models
+  /// write their two probabilities directly.
+  virtual Status PredictProbaInto(const ActiveRowView& row, int num_cols,
+                                  int num_classes, double* out) const;
+
   virtual std::string name() const = 0;
 
   /// Serializes the fitted predict-time parameters as one line of
@@ -67,6 +74,11 @@ class LabelModel {
   /// Probabilistic labels for every row of a matrix; first row error wins.
   Result<std::vector<std::vector<double>>> PredictProbaAll(
       const LabelMatrix& matrix) const;
+
+  /// Refills `table` with every row's PredictProbaInto and seals it (see
+  /// math/proba_table.h); first row error wins and leaves it unsealed.
+  Status PredictProbaTable(const LabelMatrix& matrix, int num_classes,
+                           ProbaTable* table) const;
 
   /// Hard labels for every row; kAbstain on rows with no active LF.
   Result<std::vector<int>> PredictAll(const LabelMatrix& matrix) const;

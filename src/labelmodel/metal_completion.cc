@@ -189,27 +189,29 @@ Result<std::vector<double>> MetalCompletionModel::PredictProba(
   if (num_lfs_ <= 0)
     return Status::FailedPrecondition("Fit before PredictProba");
   if (fallback_.has_value()) return fallback_->PredictProba(weak_labels);
-  if (static_cast<int>(weak_labels.size()) != num_lfs_) {
-    return Status::InvalidArgument(
-        "weak-label row has " + std::to_string(weak_labels.size()) +
-        " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
-  }
+  RETURN_IF_ERROR(CheckSpinPredictShape(
+      num_lfs_, static_cast<int>(weak_labels.size()), 2));
   return SpinNaiveBayesProba(log_odds_, weak_labels);
 }
 
 Result<std::vector<double>> MetalCompletionModel::PredictProbaSparse(
     const ActiveRowView& row, int num_cols) const {
+  std::vector<double> proba(2);
+  RETURN_IF_ERROR(PredictProbaInto(row, num_cols, 2, proba.data()));
+  return proba;
+}
+
+Status MetalCompletionModel::PredictProbaInto(const ActiveRowView& row,
+                                              int num_cols, int num_classes,
+                                              double* out) const {
   if (num_lfs_ <= 0)
     return Status::FailedPrecondition("Fit before PredictProba");
   if (fallback_.has_value()) {
-    return fallback_->PredictProbaSparse(row, num_cols);
+    return fallback_->PredictProbaInto(row, num_cols, num_classes, out);
   }
-  if (num_cols != num_lfs_) {
-    return Status::InvalidArgument(
-        "weak-label row has " + std::to_string(num_cols) +
-        " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
-  }
-  return SpinNaiveBayesProbaSparse(log_odds_, row);
+  RETURN_IF_ERROR(CheckSpinPredictShape(num_lfs_, num_cols, num_classes));
+  SpinNaiveBayesProbaSparse(log_odds_, row, out);
+  return Status::Ok();
 }
 
 }  // namespace activedp

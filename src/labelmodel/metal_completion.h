@@ -51,6 +51,8 @@ class MetalCompletionModel : public LabelModel {
       const std::vector<int>& weak_labels) const override;
   Result<std::vector<double>> PredictProbaSparse(
       const ActiveRowView& row, int num_cols) const override;
+  Status PredictProbaInto(const ActiveRowView& row, int num_cols,
+                          int num_classes, double* out) const override;
   std::string name() const override { return "metal-completion"; }
   /// Params: `<num_lfs> <positive_prior> <a_0> .. <a_{m-1}>`, using the
   /// effective (fallback-aware) parameters; restore always lands in the

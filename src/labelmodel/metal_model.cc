@@ -144,6 +144,19 @@ Status MetalModel::Fit(const LabelMatrix& matrix, int num_classes) {
   return Status::Ok();
 }
 
+Status CheckSpinPredictShape(int num_lfs, int num_cols, int num_classes) {
+  if (num_cols != num_lfs) {
+    return Status::InvalidArgument(
+        "weak-label row has " + std::to_string(num_cols) +
+        " entries, model was fit on " + std::to_string(num_lfs) + " LFs");
+  }
+  if (num_classes != 2) {
+    return Status::InvalidArgument("spin models predict 2 classes, not " +
+                                   std::to_string(num_classes));
+  }
+  return Status::Ok();
+}
+
 std::string EncodeSpinAccuracyParams(int num_lfs, double positive_prior,
                                      const std::vector<double>& accuracies) {
   std::string out = std::to_string(num_lfs);
@@ -206,13 +219,10 @@ Result<std::vector<double>> MetalModel::PredictProba(
     const std::vector<int>& weak_labels) const {
   if (num_lfs_ <= 0)
     return Status::FailedPrecondition("Fit before PredictProba");
-  if (static_cast<int>(weak_labels.size()) != num_lfs_) {
-    return Status::InvalidArgument(
-        "weak-label row has " + std::to_string(weak_labels.size()) +
-        " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
-  }
+  RETURN_IF_ERROR(CheckSpinPredictShape(
+      num_lfs_, static_cast<int>(weak_labels.size()), 2));
   std::vector<double> proba = SpinNaiveBayesProba(log_odds_, weak_labels);
-  if (!IsProbabilityVector(proba)) {
+  if (!IsProbabilityVector(proba.data(), 2)) {
     return Status::Internal("metal prediction is not a valid distribution");
   }
   return proba;
@@ -220,18 +230,21 @@ Result<std::vector<double>> MetalModel::PredictProba(
 
 Result<std::vector<double>> MetalModel::PredictProbaSparse(
     const ActiveRowView& row, int num_cols) const {
+  std::vector<double> proba(2);
+  RETURN_IF_ERROR(PredictProbaInto(row, num_cols, 2, proba.data()));
+  return proba;
+}
+
+Status MetalModel::PredictProbaInto(const ActiveRowView& row, int num_cols,
+                                    int num_classes, double* out) const {
   if (num_lfs_ <= 0)
     return Status::FailedPrecondition("Fit before PredictProba");
-  if (num_cols != num_lfs_) {
-    return Status::InvalidArgument(
-        "weak-label row has " + std::to_string(num_cols) +
-        " entries, model was fit on " + std::to_string(num_lfs_) + " LFs");
-  }
-  std::vector<double> proba = SpinNaiveBayesProbaSparse(log_odds_, row);
-  if (!IsProbabilityVector(proba)) {
+  RETURN_IF_ERROR(CheckSpinPredictShape(num_lfs_, num_cols, num_classes));
+  SpinNaiveBayesProbaSparse(log_odds_, row, out);
+  if (!IsProbabilityVector(out, 2)) {
     return Status::Internal("metal prediction is not a valid distribution");
   }
-  return proba;
+  return Status::Ok();
 }
 
 }  // namespace activedp

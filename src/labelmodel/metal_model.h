@@ -44,6 +44,8 @@ class MetalModel : public LabelModel {
       const std::vector<int>& weak_labels) const override;
   Result<std::vector<double>> PredictProbaSparse(
       const ActiveRowView& row, int num_cols) const override;
+  Status PredictProbaInto(const ActiveRowView& row, int num_cols,
+                          int num_classes, double* out) const override;
   std::string name() const override { return "metal"; }
   /// Params: `<num_lfs> <positive_prior> <a_0> .. <a_{m-1}>`.
   Result<std::string> SerializeParams() const override;
@@ -79,6 +81,10 @@ Status DecodeSpinAccuracyParams(const std::string& model_name,
                                 const std::string& params, int* num_lfs,
                                 double* positive_prior,
                                 std::vector<double>* accuracies);
+
+/// InvalidArgument unless a spin-family prediction fits: the row is
+/// `num_cols` wide for a model fit on `num_lfs` LFs, into 2 classes.
+Status CheckSpinPredictShape(int num_lfs, int num_cols, int num_classes);
 
 }  // namespace activedp
 

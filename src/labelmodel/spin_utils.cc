@@ -24,9 +24,10 @@ SpinLogOdds MakeSpinLogOdds(const std::vector<double>& accuracies,
 
 namespace {
 
-std::vector<double> ProbaFromLogOdds(double log_odds) {
+void ProbaFromLogOdds(double log_odds, double* out) {
   const double p1 = 1.0 / (1.0 + std::exp(-log_odds));
-  return {1.0 - p1, p1};
+  out[0] = 1.0 - p1;
+  out[1] = p1;
 }
 
 }  // namespace
@@ -39,17 +40,19 @@ std::vector<double> SpinNaiveBayesProba(const SpinLogOdds& log_odds,
     if (weak_labels[j] == kAbstain) continue;
     sum += log_odds.terms[2 * j + (weak_labels[j] == 1)];
   }
-  return ProbaFromLogOdds(sum);
+  std::vector<double> proba(2);
+  ProbaFromLogOdds(sum, proba.data());
+  return proba;
 }
 
-std::vector<double> SpinNaiveBayesProbaSparse(const SpinLogOdds& log_odds,
-                                              const ActiveRowView& row) {
+void SpinNaiveBayesProbaSparse(const SpinLogOdds& log_odds,
+                               const ActiveRowView& row, double* out) {
   double sum = log_odds.prior;
   for (int k = 0; k < row.nnz; ++k) {
     sum += log_odds.terms[2 * static_cast<size_t>(row.cols[k]) +
                           (row.labels[k] == 1)];
   }
-  return ProbaFromLogOdds(sum);
+  ProbaFromLogOdds(sum, out);
 }
 
 }  // namespace activedp

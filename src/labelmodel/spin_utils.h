@@ -35,10 +35,10 @@ std::vector<double> SpinNaiveBayesProba(const SpinLogOdds& log_odds,
                                         const std::vector<int>& weak_labels);
 
 /// Sparse variant over the non-abstain entries of a row (ascending column
-/// order). Bitwise identical to the dense overload, which skips abstains in
-/// the same column order.
-std::vector<double> SpinNaiveBayesProbaSparse(const SpinLogOdds& log_odds,
-                                              const ActiveRowView& row);
+/// order), written to out[0..2). Bitwise identical to the dense overload,
+/// which skips abstains in the same column order.
+void SpinNaiveBayesProbaSparse(const SpinLogOdds& log_odds,
+                               const ActiveRowView& row, double* out);
 
 }  // namespace activedp
 

@@ -53,9 +53,13 @@ std::vector<double> Softmax(const std::vector<double>& logits) {
 }
 
 double Entropy(const std::vector<double>& p) {
+  return Entropy(p.data(), static_cast<int>(p.size()));
+}
+
+double Entropy(const double* p, int n) {
   double h = 0.0;
-  for (double pi : p) {
-    if (pi > 0.0) h -= pi * std::log(pi);
+  for (int i = 0; i < n; ++i) {
+    if (p[i] > 0.0) h -= p[i] * std::log(p[i]);
   }
   return h;
 }

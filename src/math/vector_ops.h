@@ -32,6 +32,7 @@ std::vector<double> Softmax(const std::vector<double>& logits);
 /// Shannon entropy -sum p_i log p_i (natural log); zero entries contribute 0.
 /// This is Eq. 3 of the paper.
 double Entropy(const std::vector<double>& p);
+double Entropy(const double* p, int n);
 
 /// Index of the maximum element (first on ties). Requires non-empty input.
 int ArgMax(const std::vector<double>& v);

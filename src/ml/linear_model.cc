@@ -200,27 +200,44 @@ Result<LogisticRegression> LogisticRegression::FitHard(
 }
 
 std::vector<double> LogisticRegression::Logits(const SparseVector& x) const {
-  return Logits(x.indices.data(), x.values.data(), x.nnz());
+  std::vector<double> logits(num_classes_);
+  LogitsInto(x, logits.data());
+  return logits;
 }
 
-std::vector<double> LogisticRegression::Logits(const int32_t* indices,
-                                               const double* values,
-                                               int nnz) const {
+void LogisticRegression::LogitsInto(const SparseVector& x, double* out) const {
+  const int nnz = x.nnz();
 #ifndef NDEBUG
-  for (int k = 0; k < nnz; ++k) DCHECK(indices[k] < dim_);
+  for (int k = 0; k < nnz; ++k) DCHECK(x.indices[k] < dim_);
 #endif
-  std::vector<double> logits(num_classes_);
   for (int c = 0; c < num_classes_; ++c) {
     const double* w = weights_.RowPtr(c);
-    logits[c] = w[dim_] +  // bias
-                kernels::DotSparse(indices, values, nnz, w);
+    out[c] = w[dim_] +  // bias
+             kernels::DotSparse(x.indices.data(), x.values.data(), nnz, w);
   }
-  return logits;
 }
 
 std::vector<double> LogisticRegression::PredictProba(
     const SparseVector& x) const {
-  return Softmax(Logits(x));
+  std::vector<double> proba(num_classes_);
+  PredictProbaInto(x, proba.data());
+  return proba;
+}
+
+void LogisticRegression::PredictProbaInto(const SparseVector& x,
+                                          double* out) const {
+  CHECK_GT(num_classes_, 0);
+  LogitsInto(x, out);
+  kernels::SoftmaxInPlace(out, num_classes_);
+}
+
+void LogisticRegression::PredictProbaTable(const std::vector<SparseVector>& x,
+                                           ProbaTable* table) const {
+  table->Resize(static_cast<int>(x.size()), num_classes_);
+  for (size_t i = 0; i < x.size(); ++i) {
+    PredictProbaInto(x[i], table->mutable_row(static_cast<int>(i)));
+  }
+  table->Seal();
 }
 
 int LogisticRegression::Predict(const SparseVector& x) const {

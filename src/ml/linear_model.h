@@ -6,6 +6,7 @@
 
 #include "data/example.h"
 #include "math/matrix.h"
+#include "math/proba_table.h"
 #include "util/convergence.h"
 #include "util/deadline.h"
 #include "util/result.h"
@@ -57,6 +58,12 @@ class LogisticRegression {
 
   /// Class-probability vector for one example.
   std::vector<double> PredictProba(const SparseVector& x) const;
+  /// The same probabilities written to out[0..num_classes()); PredictProba
+  /// wraps this, so both give the same bits.
+  void PredictProbaInto(const SparseVector& x, double* out) const;
+  /// Refills `table` with every example's probabilities and seals it.
+  void PredictProbaTable(const std::vector<SparseVector>& x,
+                         ProbaTable* table) const;
 
   /// Most likely class.
   int Predict(const SparseVector& x) const;
@@ -77,11 +84,6 @@ class LogisticRegression {
   /// Raw (unnormalized) class scores w_c . x + b_c.
   std::vector<double> Logits(const SparseVector& x) const;
 
-  /// Raw-array variant of Logits over parallel (indices, values) arrays with
-  /// ascending indices in [0, dim); the SparseVector overload delegates here.
-  std::vector<double> Logits(const int32_t* indices, const double* values,
-                             int nnz) const;
-
   /// Honest training outcome: iterations = Adam steps taken, final_delta =
   /// largest parameter update in the last epoch. Fit returns
   /// Status::Internal instead of a model when the weights diverge to
@@ -89,6 +91,9 @@ class LogisticRegression {
   const ConvergenceReport& report() const { return report_; }
 
  private:
+  /// Logits written to out[0..num_classes_).
+  void LogitsInto(const SparseVector& x, double* out) const;
+
   int num_classes_ = 0;
   int dim_ = 0;
   /// Row c holds [w_c (dim entries), b_c].

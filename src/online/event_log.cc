@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/atomic_file.h"
+#include "util/check.h"
 #include "util/fault.h"
 
 namespace activedp {
@@ -245,12 +246,11 @@ Status EventLog::SealSegmentLocked() {
     poisoned_ = true;
     return Status::Internal("cannot seal event-log segment " + segment_path_);
   }
-  if (segment_records_ > 0) {
-    sealed_segments_.push_back(segment_path_);
-  } else {
-    std::error_code ec;
-    std::filesystem::remove(segment_path_, ec);
-  }
+  // A segment is opened only by Append, which either writes a record to it
+  // or poisons the log (failed directory fsync, failed or torn write), and
+  // a poisoned log is never sealed: every sealed segment holds a record.
+  DCHECK(segment_records_ > 0);
+  sealed_segments_.push_back(segment_path_);
   segment_records_ = 0;
   return Status::Ok();
 }

@@ -1,7 +1,6 @@
 #include "util/numeric_guard.h"
 
 #include <cmath>
-#include <string>
 
 namespace activedp {
 
@@ -12,34 +11,14 @@ bool AllFinite(const std::vector<double>& values) {
   return true;
 }
 
-bool IsProbabilityVector(const std::vector<double>& p, double tol) {
-  if (p.empty()) return false;
+bool IsProbabilityVector(const double* p, int n, double tol) {
+  if (n <= 0) return false;
   double sum = 0.0;
-  for (double v : p) {
-    if (!std::isfinite(v) || v < -tol || v > 1.0 + tol) return false;
-    sum += v;
+  for (int i = 0; i < n; ++i) {
+    if (!std::isfinite(p[i]) || p[i] < -tol || p[i] > 1.0 + tol) return false;
+    sum += p[i];
   }
-  return std::fabs(sum - 1.0) <= tol * static_cast<double>(p.size()) + tol;
-}
-
-Status ValidateProbaRows(const std::vector<std::vector<double>>& proba,
-                         int num_classes, const char* stage) {
-  for (size_t i = 0; i < proba.size(); ++i) {
-    if (proba[i].empty()) continue;  // "no prediction" rows are fine
-    if (static_cast<int>(proba[i].size()) != num_classes) {
-      return Status::Internal(std::string(stage) + ": row " +
-                              std::to_string(i) + " has " +
-                              std::to_string(proba[i].size()) +
-                              " entries, expected " +
-                              std::to_string(num_classes));
-    }
-    if (!IsProbabilityVector(proba[i])) {
-      return Status::Internal(std::string(stage) + ": row " +
-                              std::to_string(i) +
-                              " is not a finite normalized distribution");
-    }
-  }
-  return Status::Ok();
+  return std::fabs(sum - 1.0) <= tol * static_cast<double>(n) + tol;
 }
 
 bool RepairProbabilityVector(std::vector<double>* p) {

@@ -14,15 +14,9 @@ namespace activedp {
 /// True iff every entry is finite.
 bool AllFinite(const std::vector<double>& values);
 
-/// True iff `p` is a probability vector: non-empty, entries finite, in
+/// True iff p[0..n) is a probability vector: non-empty, entries finite, in
 /// [-tol, 1 + tol], summing to 1 within `tol`.
-bool IsProbabilityVector(const std::vector<double>& p, double tol = 1e-6);
-
-/// OK iff every non-empty row of `proba` is a probability vector over
-/// `num_classes` entries (empty rows mean "no prediction" and are allowed).
-/// The error message names the first offending row.
-Status ValidateProbaRows(const std::vector<std::vector<double>>& proba,
-                         int num_classes, const char* stage);
+bool IsProbabilityVector(const double* p, int n, double tol = 1e-6);
 
 /// Clamps `p` into a valid distribution in place: non-finite or negative
 /// entries become 0, then the vector is renormalized (uniform if the mass

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "labelmodel/dawid_skene.h"
 #include "labelmodel/generative_model.h"
@@ -88,6 +89,35 @@ TEST_P(LabelModelParamTest, FitFailsWithoutColumns) {
   LabelMatrix empty(5);
   auto model = MakeLabelModel(GetParam());
   EXPECT_FALSE(model->Fit(empty, 2).ok());
+}
+
+TEST_P(LabelModelParamTest, PredictProbaTableRowsBitwiseEqualSparse) {
+  // Three LFs put MeTaL-completion on its triplet fallback, eight do not.
+  for (const int m : {3, 8}) {
+    const PlantedProblem problem =
+        MakePlanted(400, std::vector<double>(m, 0.75),
+                    std::vector<double>(m, 0.4), 17 + m);
+    auto model = MakeLabelModel(GetParam());
+    ASSERT_TRUE(model->Fit(problem.matrix, 2).ok());
+    ProbaTable table;
+    ASSERT_TRUE(model->PredictProbaTable(problem.matrix, 2, &table).ok());
+    ASSERT_EQ(table.rows(), 400);
+    EXPECT_NE(table.generation(), 0u);
+    double into[2];
+    for (int i = 0; i < table.rows(); ++i) {
+      const ActiveRowView row = problem.matrix.ActiveRow(i);
+      const std::vector<double> sparse =
+          model->PredictProbaSparse(row, m).value();
+      ASSERT_TRUE(model->PredictProbaInto(row, m, 2, into).ok());
+      ASSERT_EQ(std::memcmp(into, sparse.data(), sizeof(into)), 0)
+          << model->name() << " row " << i;
+      ASSERT_EQ(std::memcmp(table.row(i), sparse.data(), sizeof(into)), 0)
+          << model->name() << " row " << i;
+    }
+    // A class-count mismatch fails and leaves the table unsealed.
+    EXPECT_FALSE(model->PredictProbaTable(problem.matrix, 3, &table).ok());
+    EXPECT_EQ(table.generation(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, LabelModelParamTest,

@@ -13,6 +13,16 @@ bool Contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
+/// ComputeColumnStats of every validation column (LabelPick's input).
+std::vector<LfColumnStats> Stats(const LabelMatrix& valid,
+                                 const std::vector<int>& labels) {
+  std::vector<LfColumnStats> stats;
+  for (int j = 0; j < valid.num_cols(); ++j) {
+    stats.push_back(ComputeColumnStats(valid.column(j), labels));
+  }
+  return stats;
+}
+
 TEST(EncodeWeakLabelTest, BinarySpinEncoding) {
   EXPECT_DOUBLE_EQ(EncodeWeakLabel(kAbstain, 2), 0.0);
   EXPECT_DOUBLE_EQ(EncodeWeakLabel(0, 2), -1.0);
@@ -82,8 +92,8 @@ TEST(LabelPickTest, PrunesWorseThanRandomLfs) {
   LabelPickOptions options;
   options.select_markov_blanket = false;  // isolate step 1
   Result<std::vector<int>> picked =
-      LabelPick(4, 2, scenario.valid, scenario.valid_labels, scenario.queries,
-                scenario.pseudo_labels, options);
+      LabelPick(2, Stats(scenario.valid, scenario.valid_labels),
+                scenario.queries, scenario.pseudo_labels, options);
   ASSERT_TRUE(picked.ok());
   EXPECT_TRUE(Contains(*picked, 0));
   EXPECT_TRUE(Contains(*picked, 2));
@@ -96,8 +106,8 @@ TEST(LabelPickTest, BlanketDropsExactDuplicate) {
   options.blanket.method = BlanketMethod::kNeighborhoodSelection;
   options.blanket.penalty = 0.02;
   Result<std::vector<int>> picked =
-      LabelPick(4, 2, scenario.valid, scenario.valid_labels, scenario.queries,
-                scenario.pseudo_labels, options);
+      LabelPick(2, Stats(scenario.valid, scenario.valid_labels),
+                scenario.queries, scenario.pseudo_labels, options);
   ASSERT_TRUE(picked.ok());
   // The informative LFs stay; the duplicate pair 0/1 need not both stay.
   EXPECT_TRUE(Contains(*picked, 0) || Contains(*picked, 1));
@@ -111,8 +121,8 @@ TEST(LabelPickTest, FewQueriesSkipBlanket) {
   LabelPickOptions options;
   options.min_queries_for_blanket = 10;
   Result<std::vector<int>> picked =
-      LabelPick(4, 2, scenario.valid, scenario.valid_labels, scenario.queries,
-                scenario.pseudo_labels, options);
+      LabelPick(2, Stats(scenario.valid, scenario.valid_labels),
+                scenario.queries, scenario.pseudo_labels, options);
   ASSERT_TRUE(picked.ok());
   // Only step-1 pruning applies.
   EXPECT_EQ(picked->size(), 3u);
@@ -134,7 +144,7 @@ TEST(LabelPickTest, NeverReturnsEmpty) {
     queries.AddColumn(std::move(q));
   }
   Result<std::vector<int>> picked =
-      LabelPick(2, 2, valid, valid_labels, queries, pseudo, {});
+      LabelPick(2, Stats(valid, valid_labels), queries, pseudo, {});
   ASSERT_TRUE(picked.ok());
   EXPECT_FALSE(picked->empty());
 }
@@ -154,7 +164,7 @@ TEST(LabelPickTest, KeepsLfsThatNeverFireOnValidation) {
   LabelPickOptions options;
   options.select_markov_blanket = false;
   Result<std::vector<int>> picked =
-      LabelPick(1, 2, valid, valid_labels, queries, pseudo, options);
+      LabelPick(2, Stats(valid, valid_labels), queries, pseudo, options);
   ASSERT_TRUE(picked.ok());
   EXPECT_TRUE(Contains(*picked, 0));
 }
@@ -165,15 +175,15 @@ TEST(LabelPickTest, DisablingBothStepsKeepsAll) {
   options.prune_by_validation_accuracy = false;
   options.select_markov_blanket = false;
   Result<std::vector<int>> picked =
-      LabelPick(4, 2, scenario.valid, scenario.valid_labels, scenario.queries,
-                scenario.pseudo_labels, options);
+      LabelPick(2, Stats(scenario.valid, scenario.valid_labels),
+                scenario.queries, scenario.pseudo_labels, options);
   ASSERT_TRUE(picked.ok());
   EXPECT_EQ(picked->size(), 4u);
 }
 
 TEST(LabelPickTest, RejectsZeroLfs) {
   LabelMatrix empty(0);
-  EXPECT_FALSE(LabelPick(0, 2, empty, {}, empty, {}, {}).ok());
+  EXPECT_FALSE(LabelPick(2, {}, empty, {}, {}).ok());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "math/vector_ops.h"
 #include "ml/featurizer.h"
 #include "util/rng.h"
 
@@ -126,6 +129,27 @@ TEST(LogisticRegressionTest, MulticlassSoftmax) {
   int correct = 0;
   for (size_t i = 0; i < x.size(); ++i) correct += model->Predict(x[i]) == y[i];
   EXPECT_GT(correct / static_cast<double>(x.size()), 0.9);
+}
+
+TEST(LogisticRegressionTest, PredictProbaIntoBitwiseEqualsSoftmaxOfLogits) {
+  Rng rng(21);
+  std::vector<SparseVector> x;
+  std::vector<int> y;
+  for (int i = 0; i < 200; ++i) {
+    const int label = rng.UniformInt(3);
+    x.push_back(Dense2(rng.Normal(2.0 * label, 0.7), rng.Normal(0.0, 1.0)));
+    y.push_back(label);
+  }
+  Result<LogisticRegression> model = LogisticRegression::FitHard(x, y, 3, 2);
+  ASSERT_TRUE(model.ok());
+  double out[3];
+  for (const SparseVector& row : x) {
+    model->PredictProbaInto(row, out);
+    const std::vector<double> reference = Softmax(model->Logits(row));
+    const std::vector<double> wrapped = model->PredictProba(row);
+    ASSERT_EQ(std::memcmp(out, reference.data(), sizeof(out)), 0);
+    ASSERT_EQ(std::memcmp(out, wrapped.data(), sizeof(out)), 0);
+  }
 }
 
 TEST(LogisticRegressionTest, InvalidInputsRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "active/adp.h"
@@ -28,16 +29,21 @@ class SamplerFixture : public testing::Test {
     lf_space_ = BuildLfSpace(train_);
     queried_.assign(train_.size(), false);
     const int n = train_.size();
-    al_proba_.resize(n);
-    lm_proba_.resize(n);
+    al_proba_.Resize(n, 2);
+    lm_proba_.Resize(n, 2);
     lm_active_.assign(n, true);
     Rng rng(5);
     for (int i = 0; i < n; ++i) {
       const double p = rng.Uniform(0.01, 0.99);
-      al_proba_[i] = {p, 1.0 - p};
+      al_proba_.SetRow(i, {p, 1.0 - p});
       const double q = rng.Uniform(0.01, 0.99);
-      lm_proba_[i] = {q, 1.0 - q};
+      lm_proba_.SetRow(i, {q, 1.0 - q});
     }
+  }
+
+  /// Sets every row of `table` to `p` (a hand-built table: generation 0).
+  static void SetAll(ProbaTable& table, const std::vector<double>& p) {
+    for (int i = 0; i < table.rows(); ++i) table.SetRow(i, p);
   }
 
   SamplerContext Context() {
@@ -54,8 +60,8 @@ class SamplerFixture : public testing::Test {
 
   Dataset train_;
   std::unique_ptr<LfSpace> lf_space_;
-  std::vector<std::vector<double>> al_proba_;
-  std::vector<std::vector<double>> lm_proba_;
+  ProbaTable al_proba_;
+  ProbaTable lm_proba_;
   std::vector<bool> lm_active_;
   std::vector<bool> queried_;
 };
@@ -103,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(Samplers, AllSamplersTest,
 
 TEST_F(SamplerFixture, UncertaintyPicksMaxEntropy) {
   // Plant a uniquely most-uncertain row.
-  for (auto& p : al_proba_) p = {0.9, 0.1};
-  al_proba_[42] = {0.5, 0.5};
+  SetAll(al_proba_, {0.9, 0.1});
+  al_proba_.SetRow(42, {0.5, 0.5});
   UncertaintySampler sampler;
   Rng rng(13);
   EXPECT_EQ(sampler.SelectQuery(Context(), rng), 42);
@@ -113,14 +119,14 @@ TEST_F(SamplerFixture, UncertaintyPicksMaxEntropy) {
 TEST_F(SamplerFixture, AdpImplementsEquationTwo) {
   // With alpha = 0.5, the score is sqrt(Ent_a * Ent_l); craft rows where the
   // joint winner differs from each individual winner.
-  for (auto& p : al_proba_) p = {0.95, 0.05};
-  for (auto& p : lm_proba_) p = {0.95, 0.05};
-  al_proba_[3] = {0.5, 0.5};   // max AL entropy, low LM entropy
-  lm_proba_[3] = {0.99, 0.01};
-  lm_proba_[7] = {0.5, 0.5};   // max LM entropy, low AL entropy
-  al_proba_[7] = {0.99, 0.01};
-  al_proba_[11] = {0.7, 0.3};  // balanced uncertainty on both
-  lm_proba_[11] = {0.7, 0.3};
+  SetAll(al_proba_, {0.95, 0.05});
+  SetAll(lm_proba_, {0.95, 0.05});
+  al_proba_.SetRow(3, {0.5, 0.5});  // max AL entropy, low LM entropy
+  lm_proba_.SetRow(3, {0.99, 0.01});
+  lm_proba_.SetRow(7, {0.5, 0.5});  // max LM entropy, low AL entropy
+  al_proba_.SetRow(7, {0.99, 0.01});
+  al_proba_.SetRow(11, {0.7, 0.3});  // balanced uncertainty on both
+  lm_proba_.SetRow(11, {0.7, 0.3});
   AdpSampler sampler;
   Rng rng(15);
   SamplerContext ctx = Context();
@@ -129,10 +135,10 @@ TEST_F(SamplerFixture, AdpImplementsEquationTwo) {
 }
 
 TEST_F(SamplerFixture, AdpAlphaOneIgnoresLabelModel) {
-  for (auto& p : al_proba_) p = {0.9, 0.1};
-  for (auto& p : lm_proba_) p = {0.9, 0.1};
-  al_proba_[5] = {0.55, 0.45};
-  lm_proba_[8] = {0.5, 0.5};
+  SetAll(al_proba_, {0.9, 0.1});
+  SetAll(lm_proba_, {0.9, 0.1});
+  al_proba_.SetRow(5, {0.55, 0.45});
+  lm_proba_.SetRow(8, {0.5, 0.5});
   AdpSampler sampler;
   Rng rng(17);
   SamplerContext ctx = Context();
@@ -145,9 +151,60 @@ TEST_F(SamplerFixture, AdpFallsBackToSingleModel) {
   Rng rng(19);
   SamplerContext ctx = Context();
   ctx.al_proba = nullptr;  // only the label model exists
-  for (auto& p : lm_proba_) p = {0.9, 0.1};
-  lm_proba_[23] = {0.5, 0.5};
+  SetAll(lm_proba_, {0.9, 0.1});
+  lm_proba_.SetRow(23, {0.5, 0.5});
   EXPECT_EQ(sampler.SelectQuery(ctx, rng), 23);
+}
+
+TEST_F(SamplerFixture, ProbaTableEntropiesEqualEntropy) {
+  lm_proba_.Seal();
+  EXPECT_NE(lm_proba_.generation(), 0u);
+  for (int i = 0; i < lm_proba_.rows(); ++i) {
+    const double expected = Entropy(lm_proba_.RowVector(i));
+    const double cached = lm_proba_.entropy(i);
+    EXPECT_EQ(std::memcmp(&expected, &cached, sizeof(double)), 0)
+        << "row " << i;
+  }
+  const uint64_t first = lm_proba_.generation();
+  lm_proba_.Seal();
+  EXPECT_GT(lm_proba_.generation(), first);
+  lm_proba_.SetRow(0, {0.5, 0.5});
+  EXPECT_EQ(lm_proba_.generation(), 0u);
+}
+
+TEST_F(SamplerFixture, AdpScoreCacheFollowsGenerations) {
+  SetAll(al_proba_, {0.9, 0.1});
+  SetAll(lm_proba_, {0.9, 0.1});
+  al_proba_.SetRow(5, {0.6, 0.4});  // best joint score
+  lm_proba_.SetRow(5, {0.6, 0.4});
+  al_proba_.SetRow(12, {0.5, 0.5});  // best AL entropy alone
+  lm_proba_.SetRow(12, {0.99, 0.01});
+  al_proba_.Seal();
+  lm_proba_.Seal();
+  AdpSampler sampler;
+  Rng rng(23);
+  SamplerContext ctx = Context();
+  sampler.Refresh(ctx);
+  EXPECT_EQ(sampler.SelectQuery(ctx, rng), 5);
+
+  // Same generations, but the label model is gone (and back).
+  ctx.lm_proba = nullptr;
+  EXPECT_EQ(sampler.SelectQuery(ctx, rng), 12);
+  ctx.lm_proba = &lm_proba_;
+  EXPECT_EQ(sampler.SelectQuery(ctx, rng), 5);
+
+  // A refill under a new generation changes the pick.
+  lm_proba_.SetRow(12, {0.5, 0.5});
+  lm_proba_.Seal();
+  EXPECT_EQ(sampler.SelectQuery(ctx, rng), 12);
+
+  // Hand-built (generation 0) tables are rescored on every call.
+  al_proba_.SetRow(3, {0.5, 0.5});
+  lm_proba_.SetRow(3, {0.5, 0.5});
+  ASSERT_EQ(al_proba_.generation(), 0u);
+  EXPECT_EQ(sampler.SelectQuery(ctx, rng), 3);  // ties row 12, lower index
+  al_proba_.SetRow(3, {0.9, 0.1});
+  EXPECT_EQ(sampler.SelectQuery(ctx, rng), 12);
 }
 
 TEST_F(SamplerFixture, PassiveIsUniformIsh) {
