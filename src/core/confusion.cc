@@ -8,6 +8,23 @@
 
 namespace activedp {
 
+RowLabel ConFusion::AggregateRow(std::span<const double> al,
+                                 std::span<const double> lm, bool lm_active,
+                                 double threshold) {
+  if (!al.empty()) {
+    const auto best = std::max_element(al.begin(), al.end());
+    if (*best >= threshold) {
+      return {LabelSource::kActiveLearning,
+              static_cast<int>(best - al.begin())};
+    }
+  }
+  if (!lm_active) return {};  // rejected (Eq. 1 third case)
+  CHECK(!lm.empty());
+  return {LabelSource::kLabelModel,
+          static_cast<int>(std::max_element(lm.begin(), lm.end()) -
+                           lm.begin())};
+}
+
 AggregatedLabels ConFusion::Aggregate(
     const std::vector<std::vector<double>>& al_proba,
     const std::vector<std::vector<double>>& lm_proba,
@@ -19,21 +36,17 @@ AggregatedLabels ConFusion::Aggregate(
   AggregatedLabels out;
   out.threshold = threshold;
   out.soft.resize(n);
-  out.hard.assign(n, kAbstain);
-  out.source.assign(n, LabelSource::kRejected);
+  out.hard.resize(n);
+  out.source.resize(n);
   int covered = 0;
   for (size_t i = 0; i < n; ++i) {
-    const bool has_al = !al_proba[i].empty();
-    if (has_al && Max(al_proba[i]) >= threshold) {
-      out.soft[i] = al_proba[i];
-      out.source[i] = LabelSource::kActiveLearning;
-    } else if (lm_active[i]) {
-      out.soft[i] = lm_proba[i];
-      out.source[i] = LabelSource::kLabelModel;
-    } else {
-      continue;  // rejected (Eq. 1 third case)
-    }
-    out.hard[i] = ArgMax(out.soft[i]);
+    const RowLabel row =
+        AggregateRow(al_proba[i], lm_proba[i], lm_active[i], threshold);
+    out.hard[i] = row.hard;
+    out.source[i] = row.source;
+    if (row.source == LabelSource::kRejected) continue;
+    out.soft[i] = row.source == LabelSource::kActiveLearning ? al_proba[i]
+                                                             : lm_proba[i];
     ++covered;
   }
   out.coverage = n == 0 ? 0.0 : static_cast<double>(covered) / n;

@@ -1,6 +1,7 @@
 #ifndef ACTIVEDP_CORE_CONFUSION_H_
 #define ACTIVEDP_CORE_CONFUSION_H_
 
+#include <span>
 #include <vector>
 
 #include "lf/label_function.h"
@@ -26,14 +27,29 @@ struct AggregatedLabels {
   double coverage = 0.0;
 };
 
+/// Eq. 1's decision for one row.
+struct RowLabel {
+  LabelSource source = LabelSource::kRejected;
+  /// First-maximum argmax of the followed probabilities; kAbstain when
+  /// rejected.
+  int hard = kAbstain;
+};
+
 /// ConFusion (§3.2): confidence-based aggregation of the active-learning
 /// model and the label model.
 class ConFusion {
  public:
-  /// Eq. 1: follow f_a when its confidence max(f_a(x)) >= threshold; else
-  /// follow f_l where at least one selected LF fires; else reject.
-  /// `al_proba[i]` may be empty (no AL model -> pure label model);
-  /// `lm_active[i]` false means every selected LF abstains on row i.
+  /// Eq. 1 for one row: follow f_a when `al` is non-empty and its
+  /// confidence max(al) >= threshold; else follow f_l (`lm`) when
+  /// `lm_active`, i.e. at least one selected LF fires; else reject. The one
+  /// rule behind Aggregate and the served ModelSnapshot::Predict.
+  static RowLabel AggregateRow(std::span<const double> al,
+                               std::span<const double> lm, bool lm_active,
+                               double threshold);
+
+  /// AggregateRow on every row. `al_proba[i]` may be empty (no AL model ->
+  /// pure label model); `lm_active[i]` false means every selected LF
+  /// abstains on row i.
   static AggregatedLabels Aggregate(
       const std::vector<std::vector<double>>& al_proba,
       const std::vector<std::vector<double>>& lm_proba,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "util/check.h"
@@ -321,53 +320,83 @@ std::vector<int8_t> ApplyLf(const LabelFunction& lf, const Dataset& dataset) {
   return out;
 }
 
-namespace {
-
-/// Inverted-index application for all-keyword LF sets: instead of
-/// num_lfs virtual Apply calls (each a binary search) per example, one pass
-/// over the example's term counts looks up which columns fire. Produces the
-/// exact same matrix as the per-LF path.
-LabelMatrix ApplyKeywordLfs(const std::vector<LfPtr>& lfs,
-                            const Dataset& dataset) {
-  const int n = dataset.size();
-  const int m = static_cast<int>(lfs.size());
-  std::unordered_map<int, std::vector<std::pair<int, int8_t>>> by_token;
-  by_token.reserve(m);
-  for (int j = 0; j < m; ++j) {
-    const auto* kw = static_cast<const KeywordLf*>(lfs[j].get());
-    by_token[kw->token_id()].emplace_back(j, static_cast<int8_t>(kw->label()));
+std::optional<KeywordIndex> KeywordIndex::Build(
+    const std::vector<LfPtr>& lfs) {
+  std::vector<const KeywordLf*> keyword(lfs.size());
+  for (size_t j = 0; j < lfs.size(); ++j) {
+    keyword[j] = dynamic_cast<const KeywordLf*>(lfs[j].get());
+    if (keyword[j] == nullptr) return std::nullopt;
   }
-  std::vector<std::vector<int8_t>> cols(
-      m, std::vector<int8_t>(n, static_cast<int8_t>(kAbstain)));
-  for (int i = 0; i < n; ++i) {
-    for (const auto& [token, count] : dataset.example(i).term_counts) {
-      (void)count;  // presence decides, matching Example::HasToken
-      const auto it = by_token.find(token);
-      if (it == by_token.end()) continue;
-      for (const auto& [col, label] : it->second) cols[col][i] = label;
-    }
+  KeywordIndex index;
+  if (keyword.empty()) return index;
+  int64_t min_token = keyword[0]->token_id(), max_token = min_token;
+  for (const KeywordLf* kw : keyword) {
+    min_token = std::min<int64_t>(min_token, kw->token_id());
+    max_token = std::max<int64_t>(max_token, kw->token_id());
   }
-  LabelMatrix matrix(n);
-  for (int j = 0; j < m; ++j) matrix.AddColumn(std::move(cols[j]));
-  return matrix;
+  index.min_token_ = static_cast<int32_t>(min_token);
+  index.num_tokens_ = static_cast<uint32_t>(max_token - min_token + 1);
+  // Counting sort by token; visiting the LFs in column order leaves each
+  // token's run in ascending column order.
+  index.offsets_.assign(index.num_tokens_ + 1, 0);
+  for (const KeywordLf* kw : keyword) {
+    ++index.offsets_[kw->token_id() - index.min_token_ + 1];
+  }
+  for (uint32_t t = 0; t < index.num_tokens_; ++t) {
+    index.offsets_[t + 1] += index.offsets_[t];
+  }
+  index.cols_.resize(keyword.size());
+  index.labels_.resize(keyword.size());
+  std::vector<int32_t> cursor(index.offsets_.begin(), index.offsets_.end() - 1);
+  for (size_t j = 0; j < keyword.size(); ++j) {
+    const int32_t at = cursor[keyword[j]->token_id() - index.min_token_]++;
+    index.cols_[at] = static_cast<int32_t>(j);
+    index.labels_[at] = static_cast<int8_t>(keyword[j]->label());
+  }
+  return index;
 }
 
-}  // namespace
+void KeywordIndex::FiringLfs(const Example& example,
+                             std::vector<int32_t>* cols,
+                             std::vector<int8_t>* labels) const {
+  cols->clear();
+  labels->clear();
+  for (const auto& [token, count] : example.term_counts) {
+    (void)count;  // presence decides, matching Example::HasToken
+    const ActiveRowView hits = Find(token);
+    for (int e = 0; e < hits.nnz; ++e) {
+      // Insertion by column: a row meets only a few LFs.
+      const int32_t col = hits.cols[e];
+      size_t at = cols->size();
+      while (at > 0 && (*cols)[at - 1] > col) --at;
+      if (at > 0 && (*cols)[at - 1] == col) continue;  // token listed twice
+      cols->insert(cols->begin() + at, col);
+      labels->insert(labels->begin() + at, hits.labels[e]);
+    }
+  }
+}
 
 LabelMatrix ApplyLfs(const std::vector<LfPtr>& lfs, const Dataset& dataset) {
   TraceSpan span("lf.apply_all");
   span.AddArg("lfs", static_cast<int64_t>(lfs.size()));
   span.AddArg("rows", dataset.size());
-  bool all_keyword = !lfs.empty();
-  for (const auto& lf : lfs) {
-    if (dynamic_cast<const KeywordLf*>(lf.get()) == nullptr) {
-      all_keyword = false;
-      break;
+  const int n = dataset.size();
+  LabelMatrix matrix(n);
+  const std::optional<KeywordIndex> index = KeywordIndex::Build(lfs);
+  if (!index.has_value()) {
+    for (const auto& lf : lfs) matrix.AddColumn(ApplyLf(*lf, dataset));
+    return matrix;
+  }
+  std::vector<std::vector<int8_t>> cols(
+      lfs.size(), std::vector<int8_t>(n, static_cast<int8_t>(kAbstain)));
+  for (int i = 0; i < n; ++i) {
+    for (const auto& [token, count] : dataset.example(i).term_counts) {
+      (void)count;  // presence decides, matching Example::HasToken
+      const ActiveRowView hits = index->Find(token);
+      for (int e = 0; e < hits.nnz; ++e) cols[hits.cols[e]][i] = hits.labels[e];
     }
   }
-  if (all_keyword) return ApplyKeywordLfs(lfs, dataset);
-  LabelMatrix matrix(dataset.size());
-  for (const auto& lf : lfs) matrix.AddColumn(ApplyLf(*lf, dataset));
+  for (std::vector<int8_t>& col : cols) matrix.AddColumn(std::move(col));
   return matrix;
 }
 

@@ -166,13 +166,51 @@ class LabelMatrix {
   mutable std::optional<SpinPairMoments> moments_;
 };
 
+/// Flat inverted index of a keyword-only LF set: token id -> the (column,
+/// label) pairs of the LFs keyed on it, as one CSR table over the LFs' token
+/// range, built once. A row's firing LFs are the entries of its own tokens,
+/// so a row costs one array lookup per token instead of one Apply per LF.
+/// Each KeywordLf owns one column and fires on token presence, so the
+/// entries reproduce the per-LF Apply loop exactly.
+class KeywordIndex {
+ public:
+  /// The index of `lfs` (column j = lfs[j]); nullopt when some LF is not a
+  /// KeywordLf. An empty set gives an empty index.
+  static std::optional<KeywordIndex> Build(const std::vector<LfPtr>& lfs);
+
+  /// The LFs keyed on `token`, in ascending column order; empty for a
+  /// token outside the table.
+  ActiveRowView Find(int token) const {
+    // Unsigned wrap-around sends every token below the range past the end.
+    const uint32_t slot =
+        static_cast<uint32_t>(token) - static_cast<uint32_t>(min_token_);
+    if (slot >= num_tokens_) return {};
+    const int32_t begin = offsets_[slot];
+    return {cols_.data() + begin, labels_.data() + begin,
+            offsets_[slot + 1] - begin};
+  }
+
+  /// Replaces `cols` / `labels` with the LFs that fire on `example`, in
+  /// ascending column order (the order ActiveRowView requires). Reuses
+  /// their capacity.
+  void FiringLfs(const Example& example, std::vector<int32_t>* cols,
+                 std::vector<int8_t>* labels) const;
+
+ private:
+  int32_t min_token_ = 0;
+  uint32_t num_tokens_ = 0;
+  std::vector<int32_t> offsets_;  // num_tokens_ + 1 run boundaries
+  std::vector<int32_t> cols_;
+  std::vector<int8_t> labels_;
+};
+
 /// Applies one LF to every example of `dataset`.
 std::vector<int8_t> ApplyLf(const LabelFunction& lf, const Dataset& dataset);
 
 /// Applies a set of LFs, producing the label matrix. When every LF is a
-/// KeywordLf, uses an inverted token -> (column, label) index and a single
-/// pass over each example's term counts instead of per-LF virtual calls —
-/// the output is identical either way.
+/// KeywordLf, fills the columns from a KeywordIndex in one pass over each
+/// example's term counts instead of per-LF virtual calls — the output is
+/// identical either way.
 LabelMatrix ApplyLfs(const std::vector<LfPtr>& lfs, const Dataset& dataset);
 
 /// Coverage and accuracy statistics of one LF column against ground truth.

@@ -39,16 +39,17 @@ TabularFeaturizer TabularFeaturizer::FromState(
   return featurizer;
 }
 
-SparseVector TabularFeaturizer::Transform(const Example& example) const {
-  SparseVector out;
+void TabularFeaturizer::TransformInto(const Example& example,
+                                      SparseVector* out) const {
   const int d = dim();
   CHECK_EQ(static_cast<int>(example.features.size()), d);
-  out.indices.reserve(d);
-  out.values.reserve(d);
+  out->indices.clear();
+  out->values.clear();
+  out->indices.reserve(d);
+  out->values.reserve(d);
   for (int j = 0; j < d; ++j) {
-    out.PushBack(j, (example.features[j] - means_[j]) * inv_stddevs_[j]);
+    out->PushBack(j, (example.features[j] - means_[j]) * inv_stddevs_[j]);
   }
-  return out;
 }
 
 std::unique_ptr<Featurizer> MakeFeaturizer(const Dataset& train) {

@@ -17,7 +17,15 @@ namespace activedp {
 class Featurizer {
  public:
   virtual ~Featurizer() = default;
-  virtual SparseVector Transform(const Example& example) const = 0;
+  /// Replaces `out` with the features of `example`, reusing its capacity.
+  virtual void TransformInto(const Example& example,
+                             SparseVector* out) const = 0;
+  /// TransformInto into a fresh vector.
+  SparseVector Transform(const Example& example) const {
+    SparseVector out;
+    TransformInto(example, &out);
+    return out;
+  }
   virtual int dim() const = 0;
 };
 
@@ -29,8 +37,9 @@ class TextFeaturizer : public Featurizer {
   /// Wraps an already-fitted (e.g. snapshot-restored) TF-IDF featurizer.
   explicit TextFeaturizer(TfidfFeaturizer tfidf) : tfidf_(std::move(tfidf)) {}
 
-  SparseVector Transform(const Example& example) const override {
-    return tfidf_.Transform(example);
+  void TransformInto(const Example& example,
+                     SparseVector* out) const override {
+    tfidf_.TransformInto(example, out);
   }
   int dim() const override { return tfidf_.dim(); }
 
@@ -50,7 +59,8 @@ class TabularFeaturizer : public Featurizer {
   static TabularFeaturizer FromState(std::vector<double> means,
                                      std::vector<double> inv_stddevs);
 
-  SparseVector Transform(const Example& example) const override;
+  void TransformInto(const Example& example,
+                     SparseVector* out) const override;
   int dim() const override { return static_cast<int>(means_.size()); }
 
   const std::vector<double>& means() const { return means_; }

@@ -1,10 +1,11 @@
 #include "serve/model_snapshot.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
+#include <span>
 #include <utility>
 
-#include "math/vector_ops.h"
 #include "text/tokenizer.h"
 
 namespace activedp {
@@ -36,6 +37,39 @@ Status ValidateFeaturizerState(const SnapshotState& state) {
   return Status::Ok();
 }
 
+/// Every LF must vote a class of the snapshot (weak labels travel as int8,
+/// as in LabelMatrix) and read only what a served row carries: a keyword id
+/// inside [0, feature_dim), which also bounds the keyword index, and a stump
+/// feature inside a tabular row.
+Status ValidateLfs(const SnapshotState& state) {
+  for (size_t j = 0; j < state.lfs.size(); ++j) {
+    const LabelFunction& lf = *state.lfs[j];
+    const std::string where = "snapshot LF " + std::to_string(j) + " (" +
+                              lf.Name() + ")";
+    if (lf.label() < 0 || lf.label() >= state.num_classes ||
+        lf.label() > std::numeric_limits<int8_t>::max()) {
+      return Status::InvalidArgument(
+          where + " votes class " + std::to_string(lf.label()) + " of " +
+          std::to_string(state.num_classes));
+    }
+    if (const auto* kw = dynamic_cast<const KeywordLf*>(&lf)) {
+      if (kw->token_id() < 0 || kw->token_id() >= state.feature_dim) {
+        return Status::InvalidArgument(
+            where + " reads token " + std::to_string(kw->token_id()) +
+            " outside feature_dim " + std::to_string(state.feature_dim));
+      }
+    } else if (const auto* stump = dynamic_cast<const ThresholdLf*>(&lf)) {
+      if (state.task != TaskType::kTabularClassification ||
+          stump->feature() < 0 || stump->feature() >= state.feature_dim) {
+        return Status::InvalidArgument(
+            where + " reads feature " + std::to_string(stump->feature()) +
+            ", which a served row of this snapshot does not have");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<ModelSnapshot> ModelSnapshot::Create(SnapshotState state) {
@@ -55,6 +89,7 @@ Result<ModelSnapshot> ModelSnapshot::Create(SnapshotState state) {
     return Status::InvalidArgument("snapshot threshold outside [0, 1]");
   }
   RETURN_IF_ERROR(ValidateFeaturizerState(state));
+  RETURN_IF_ERROR(ValidateLfs(state));
   if (state.label_model_name.empty() && !state.al_weights.has_value()) {
     return Status::InvalidArgument(
         "snapshot has neither a label model nor AL weights");
@@ -77,6 +112,19 @@ Result<ModelSnapshot> ModelSnapshot::Create(SnapshotState state) {
                      MakeLabelModelByName(state.label_model_name));
     RETURN_IF_ERROR(
         snapshot.label_model_->RestoreParams(state.label_model_params));
+    // One all-abstain row through the serving call. A model that cannot
+    // predict this snapshot's class count over its LFs (a binary-only
+    // family at k = 3, params for another LF count) would fail every row.
+    std::vector<double> proba(state.num_classes);
+    const Status probe = snapshot.label_model_->PredictProbaInto(
+        ActiveRowView{}, static_cast<int>(state.lfs.size()),
+        state.num_classes, proba.data());
+    if (!probe.ok()) {
+      return Status::InvalidArgument(
+          "label model '" + state.label_model_name + "' cannot serve " +
+          std::to_string(state.num_classes) + " classes over " +
+          std::to_string(state.lfs.size()) + " LFs: " + probe.message());
+    }
   }
   if (state.al_weights.has_value()) {
     ASSIGN_OR_RETURN(
@@ -90,30 +138,10 @@ Result<ModelSnapshot> ModelSnapshot::Create(SnapshotState state) {
         LogisticRegression::FromWeights(state.num_classes, state.feature_dim,
                                         *state.end_weights));
   }
-  snapshot.state_ = std::move(state);
-
-  // Keyword-only LF sets (the common text path) get an inverted token index:
-  // serving then touches only each example's own tokens instead of scanning
-  // every LF per prediction. Each KeywordLf owns one column and fires on
-  // token presence, so the indexed fill is identical to the per-LF loop.
   if (snapshot.label_model_ != nullptr) {
-    bool all_keyword = true;
-    for (const LfPtr& lf : snapshot.state_.lfs) {
-      if (dynamic_cast<const KeywordLf*>(lf.get()) == nullptr) {
-        all_keyword = false;
-        break;
-      }
-    }
-    if (all_keyword) {
-      auto& index = snapshot.keyword_index_.emplace();
-      index.reserve(snapshot.state_.lfs.size());
-      for (size_t j = 0; j < snapshot.state_.lfs.size(); ++j) {
-        const auto* kw =
-            static_cast<const KeywordLf*>(snapshot.state_.lfs[j].get());
-        index[kw->token_id()].emplace_back(static_cast<int>(j), kw->label());
-      }
-    }
+    snapshot.keyword_index_ = KeywordIndex::Build(state.lfs);
   }
+  snapshot.state_ = std::move(state);
   return snapshot;
 }
 
@@ -169,60 +197,80 @@ Status ModelSnapshot::ValidateExample(const Example& example) const {
   return Status::Ok();
 }
 
-void ModelSnapshot::ApplyLfsRow(const Example& example, std::vector<int>* row,
-                                bool* active) const {
+void ModelSnapshot::FiringLfs(const Example& example,
+                              RowScratch* scratch) const {
+  // Room for every LF up front: a call grows these buffers at most once.
+  scratch->lf_cols.reserve(state_.lfs.size());
+  scratch->lf_labels.reserve(state_.lfs.size());
   if (keyword_index_.has_value()) {
-    for (const auto& [token, count] : example.term_counts) {
-      (void)count;  // presence semantics, matching Example::HasToken
-      const auto it = keyword_index_->find(token);
-      if (it == keyword_index_->end()) continue;
-      for (const auto& [col, label] : it->second) {
-        (*row)[col] = label;
-        if (label != kAbstain) *active = true;
-      }
-    }
+    keyword_index_->FiringLfs(example, &scratch->lf_cols, &scratch->lf_labels);
     return;
   }
+  scratch->lf_cols.clear();
+  scratch->lf_labels.clear();
   for (size_t j = 0; j < state_.lfs.size(); ++j) {
-    (*row)[j] = state_.lfs[j]->Apply(example);
-    if ((*row)[j] != kAbstain) *active = true;
+    const int label = state_.lfs[j]->Apply(example);
+    if (label == kAbstain) continue;
+    scratch->lf_cols.push_back(static_cast<int32_t>(j));
+    scratch->lf_labels.push_back(static_cast<int8_t>(label));
   }
 }
 
-Result<ServedPrediction> ModelSnapshot::Predict(const Example& example) const {
+Result<ServedPrediction> ModelSnapshot::PredictRow(const Example& example,
+                                                   RowScratch* scratch) const {
   RETURN_IF_ERROR(ValidateExample(example));
-  // One-row version of the offline inference phase: AL probabilities,
-  // label-model probabilities + activity over the selected LFs, then
-  // ConFusion::Aggregate with the exported τ. Aggregate is row-independent,
-  // so this matches the offline batch call bitwise.
-  std::vector<std::vector<double>> al_proba(1);
+  // One row of the offline inference phase: AL probabilities, label-model
+  // probabilities + activity over the selected LFs, then Eq. 1 with the
+  // exported τ through the rule ConFusion::Aggregate applies to each row.
+  const int k = state_.num_classes;
+  std::span<const double> al;
   if (al_model_.has_value()) {
-    al_proba[0] = al_model_->PredictProba(featurizer_->Transform(example));
+    featurizer_->TransformInto(example, &scratch->features);
+    scratch->al_proba.resize(k);
+    al_model_->PredictProbaInto(scratch->features, scratch->al_proba.data());
+    al = scratch->al_proba;
   }
-  std::vector<std::vector<double>> lm_proba(1);
-  std::vector<bool> lm_active(1, false);
+  std::span<const double> lm;
+  bool lm_active = false;
   if (label_model_ != nullptr) {
-    std::vector<int> row(state_.lfs.size(), kAbstain);
-    bool active = false;
-    ApplyLfsRow(example, &row, &active);
-    lm_active[0] = active;
-    ASSIGN_OR_RETURN(lm_proba[0], label_model_->PredictProba(row));
+    FiringLfs(example, scratch);
+    const ActiveRowView row{scratch->lf_cols.data(),
+                            scratch->lf_labels.data(),
+                            static_cast<int>(scratch->lf_cols.size())};
+    lm_active = row.nnz > 0;
+    scratch->lm_proba.resize(k);
+    RETURN_IF_ERROR(label_model_->PredictProbaInto(
+        row, static_cast<int>(state_.lfs.size()), k,
+        scratch->lm_proba.data()));
+    lm = scratch->lm_proba;
   }
 
-  AggregatedLabels aggregated = ConFusion::Aggregate(
-      al_proba, lm_proba, lm_active, state_.threshold);
+  const RowLabel chosen =
+      ConFusion::AggregateRow(al, lm, lm_active, state_.threshold);
   ServedPrediction prediction;
-  prediction.proba = std::move(aggregated.soft[0]);
-  prediction.label = aggregated.hard[0];
-  prediction.source = aggregated.source[0];
+  prediction.label = chosen.hard;
+  prediction.source = chosen.source;
+  if (chosen.source == LabelSource::kActiveLearning) {
+    prediction.proba.assign(al.begin(), al.end());
+  } else if (chosen.source == LabelSource::kLabelModel) {
+    prediction.proba.assign(lm.begin(), lm.end());
+  }
   return prediction;
+}
+
+Result<ServedPrediction> ModelSnapshot::Predict(const Example& example) const {
+  RowScratch scratch;
+  return PredictRow(example, &scratch);
 }
 
 std::vector<Result<ServedPrediction>> ModelSnapshot::PredictBatch(
     const std::vector<Example>& examples) const {
+  RowScratch scratch;
   std::vector<Result<ServedPrediction>> out;
   out.reserve(examples.size());
-  for (const Example& example : examples) out.push_back(Predict(example));
+  for (const Example& example : examples) {
+    out.push_back(PredictRow(example, &scratch));
+  }
   return out;
 }
 
@@ -231,12 +279,7 @@ Result<std::vector<double>> ModelSnapshot::EndModelProba(
   if (!end_model_.has_value()) {
     return Status::FailedPrecondition("snapshot has no end-model weights");
   }
-  if (state_.task == TaskType::kTabularClassification &&
-      static_cast<int>(example.features.size()) != state_.feature_dim) {
-    return Status::InvalidArgument(
-        "example has " + std::to_string(example.features.size()) +
-        " features, snapshot expects " + std::to_string(state_.feature_dim));
-  }
+  RETURN_IF_ERROR(ValidateExample(example));
   return end_model_->PredictProba(featurizer_->Transform(example));
 }
 

@@ -1,11 +1,11 @@
 #ifndef ACTIVEDP_SERVE_MODEL_SNAPSHOT_H_
 #define ACTIVEDP_SERVE_MODEL_SNAPSHOT_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "data/example.h"
 #include "labelmodel/label_model.h"
 #include "lf/label_function.h"
+#include "lf/lf_applier.h"
 #include "math/matrix.h"
 #include "ml/featurizer.h"
 #include "ml/linear_model.h"
@@ -75,15 +76,23 @@ struct SnapshotState {
 /// const and thread-safe, so a snapshot can serve concurrent batches behind
 /// a std::shared_ptr (serve/prediction_service.h hot-swaps them RCU-style).
 ///
-/// Determinism: Predict featurizes one row and aggregates with the offline
-/// ConFusion::Aggregate, which is row-independent; PredictBatch is Predict on
-/// each row. Served outputs are bitwise identical to the offline pipeline's
-/// for the same instance, at every batch size.
+/// Determinism: Predict and PredictBatch run every row through one private
+/// routine, PredictRow, which calls the offline pipeline's own per-row
+/// pieces: the featurizer, LogisticRegression::PredictProbaInto, the label
+/// model's PredictProbaInto on the row's firing LFs in ascending column
+/// order, and ConFusion::AggregateRow, the rule ConFusion::Aggregate applies
+/// to every row. Served outputs are therefore bitwise identical to the
+/// offline pipeline's for the same instance, at every batch size. The
+/// row's buffers belong to the call, never to the snapshot.
 class ModelSnapshot {
  public:
-  /// Validates `state` (shape consistency, parseable label-model params,
-  /// well-formed weight matrices; at least one model present) and builds the
-  /// runtime featurizer and models. InvalidArgument on any inconsistency.
+  /// Validates `state` (shape consistency, LFs that vote a snapshot class
+  /// and read inside its rows, parseable label-model params that predict
+  /// num_classes over the selected LFs, well-formed weight matrices; at
+  /// least one model present) and builds the runtime featurizer and models.
+  /// InvalidArgument on any inconsistency; a binary-only label-model family
+  /// (MeTaL, MeTaL-completion, generative-DP) is refused for a multiclass
+  /// snapshot.
   static Result<ModelSnapshot> Create(SnapshotState state);
 
   ModelSnapshot(ModelSnapshot&&) = default;
@@ -111,9 +120,10 @@ class ModelSnapshot {
   /// model where a selected LF fires, else rejected.
   Result<ServedPrediction> Predict(const Example& example) const;
 
-  /// Predict on each row of a batch, inline on the calling thread. Each row
-  /// succeeds or fails independently; the result always has examples.size()
-  /// entries in order.
+  /// Predict on each row of a batch, inline on the calling thread, through
+  /// one set of row buffers reused across the batch. Each row succeeds or
+  /// fails independently; the result always has examples.size() entries in
+  /// order.
   std::vector<Result<ServedPrediction>> PredictBatch(
       const std::vector<Example>& examples) const;
 
@@ -123,25 +133,39 @@ class ModelSnapshot {
  private:
   ModelSnapshot() = default;
 
+  /// One row's working buffers. Each Predict call keeps one on its stack
+  /// and each PredictBatch call one for the whole batch, so a row costs no
+  /// buffer allocation after the first and the snapshot itself stays
+  /// immutable and shareable between threads.
+  struct RowScratch {
+    SparseVector features;
+    std::vector<double> al_proba;
+    std::vector<double> lm_proba;
+    /// The row's firing LFs: ascending label-model columns and their votes.
+    std::vector<int32_t> lf_cols;
+    std::vector<int8_t> lf_labels;
+  };
+
+  /// The served prediction of one row (see Predict), computed in `scratch`.
+  Result<ServedPrediction> PredictRow(const Example& example,
+                                      RowScratch* scratch) const;
+
   /// Shape validation (tabular width check); never featurizes.
   Status ValidateExample(const Example& example) const;
 
-  /// Fills `row` with each selected LF's vote on `example` and sets `active`
-  /// if any vote is not kAbstain. Uses the inverted keyword index when every
-  /// LF is a KeywordLf (one pass over the example's own tokens instead of a
-  /// scan over all LFs); output is identical to the per-LF loop.
-  void ApplyLfsRow(const Example& example, std::vector<int>* row,
-                   bool* active) const;
+  /// Fills scratch->lf_cols / lf_labels with the selected LFs that fire on
+  /// `example`, in column order: from the keyword index when every LF is a
+  /// KeywordLf, else from each LF's Apply.
+  void FiringLfs(const Example& example, RowScratch* scratch) const;
 
   SnapshotState state_;
   std::unique_ptr<Featurizer> featurizer_;
   std::unique_ptr<LabelModel> label_model_;
   std::optional<LogisticRegression> al_model_;
   std::optional<LogisticRegression> end_model_;
-  /// token_id -> [(lf column, label)] over state_.lfs; engaged only when all
-  /// selected LFs are keyword LFs (built once in Create).
-  std::optional<std::unordered_map<int, std::vector<std::pair<int, int>>>>
-      keyword_index_;
+  /// Engaged when the snapshot has a label model and every selected LF is
+  /// a KeywordLf (built once in Create).
+  std::optional<KeywordIndex> keyword_index_;
 };
 
 }  // namespace activedp

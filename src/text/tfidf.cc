@@ -41,7 +41,8 @@ TfidfFeaturizer TfidfFeaturizer::FromState(TfidfOptions options,
   return featurizer;
 }
 
-SparseVector TfidfFeaturizer::Transform(const Example& example) const {
+void TfidfFeaturizer::TransformInto(const Example& example,
+                                    SparseVector* out) const {
   // Term counts are almost always tiny integers and std::log dominates the
   // sublinear-tf cost, so 1 + log(k) is served from a table for small k.
   // Entries are computed with the same std::log call, so the output is
@@ -55,9 +56,10 @@ SparseVector TfidfFeaturizer::Transform(const Example& example) const {
     return table;
   }();
 
-  SparseVector out;
-  out.indices.reserve(example.term_counts.size());
-  out.values.reserve(example.term_counts.size());
+  out->indices.clear();
+  out->values.clear();
+  out->indices.reserve(example.term_counts.size());
+  out->values.reserve(example.term_counts.size());
   for (const auto& [term, count] : example.term_counts) {
     if (term < 0 || term >= dim()) continue;  // out-of-vocabulary
     if (count <= 0) continue;  // sublinear 1 + log(0) would give -inf
@@ -68,10 +70,9 @@ SparseVector TfidfFeaturizer::Transform(const Example& example) const {
     } else {
       tf = static_cast<double>(count);
     }
-    out.PushBack(term, tf * idf_[term]);
+    out->PushBack(term, tf * idf_[term]);
   }
-  if (options_.l2_normalize) L2Normalize(out);
-  return out;
+  if (options_.l2_normalize) L2Normalize(*out);
 }
 
 }  // namespace activedp

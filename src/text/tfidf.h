@@ -32,7 +32,13 @@ class TfidfFeaturizer {
   static TfidfFeaturizer FromState(TfidfOptions options,
                                    std::vector<double> idf);
 
-  SparseVector Transform(const Example& example) const;
+  SparseVector Transform(const Example& example) const {
+    SparseVector out;
+    TransformInto(example, &out);
+    return out;
+  }
+  /// Transform's vector written over `out`, reusing its capacity.
+  void TransformInto(const Example& example, SparseVector* out) const;
 
   int dim() const { return static_cast<int>(idf_.size()); }
 

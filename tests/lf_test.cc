@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "lf/label_function.h"
 #include "lf/lf_applier.h"
+#include "util/rng.h"
 
 namespace activedp {
 namespace {
@@ -76,6 +79,73 @@ TEST(LfApplierTest, ApplyLfsBuildsMatrix) {
   EXPECT_EQ(matrix.At(2, 0), 1);
   EXPECT_EQ(matrix.At(2, 1), 0);
   EXPECT_EQ(matrix.At(3, 0), kAbstain);
+}
+
+TEST(KeywordIndexTest, FiringLfsAndApplyLfsMatchThePerLfLoop) {
+  Rng rng(41);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Keyword LFs over tokens 5..24 (trial 0 is the empty set). Two LFs may
+    // share a token with different labels; examples also carry tokens below
+    // and above the LFs' range, which the index must skip.
+    std::vector<LfPtr> lfs;
+    const int num_lfs = trial == 0 ? 0 : rng.UniformInt(1, 12);
+    for (int j = 0; j < num_lfs; ++j) {
+      lfs.push_back(std::make_shared<KeywordLf>(rng.UniformInt(5, 24), "w",
+                                                rng.UniformInt(0, 2)));
+    }
+    if (num_lfs >= 2) {  // one shared token with different labels, always
+      lfs.push_back(std::make_shared<KeywordLf>(
+          static_cast<const KeywordLf&>(*lfs[0]).token_id(), "w",
+          (lfs[0]->label() + 1) % 3));
+    }
+    std::vector<Example> examples;
+    for (int i = 0; i < 40; ++i) {
+      std::vector<std::pair<int, int>> counts;
+      for (int t = 0; t < 30; ++t) {
+        if (rng.UniformInt(4) == 0) counts.emplace_back(t, rng.UniformInt(1, 3));
+      }
+      examples.push_back(TextExample(std::move(counts), 0));
+    }
+    const Dataset dataset(DatasetMeta{}, examples);
+
+    const std::optional<KeywordIndex> index = KeywordIndex::Build(lfs);
+    ASSERT_TRUE(index.has_value());
+    std::vector<int32_t> cols;
+    std::vector<int8_t> labels;
+    for (const Example& example : examples) {
+      std::vector<int32_t> want_cols;
+      std::vector<int8_t> want_labels;
+      for (size_t j = 0; j < lfs.size(); ++j) {
+        const int label = lfs[j]->Apply(example);
+        if (label == kAbstain) continue;
+        want_cols.push_back(static_cast<int32_t>(j));
+        want_labels.push_back(static_cast<int8_t>(label));
+      }
+      index->FiringLfs(example, &cols, &labels);  // buffers reused
+      EXPECT_EQ(cols, want_cols) << "trial " << trial;
+      EXPECT_EQ(labels, want_labels) << "trial " << trial;
+    }
+    const LabelMatrix matrix = ApplyLfs(lfs, dataset);
+    ASSERT_EQ(matrix.num_cols(), static_cast<int>(lfs.size()));
+    for (size_t j = 0; j < lfs.size(); ++j) {
+      EXPECT_EQ(matrix.column(static_cast<int>(j)), ApplyLf(*lfs[j], dataset))
+          << "trial " << trial << " column " << j;
+    }
+  }
+}
+
+TEST(KeywordIndexTest, OnlyKeywordSetsAreIndexed) {
+  const std::vector<LfPtr> mixed = {
+      std::make_shared<KeywordLf>(0, "w0", 1),
+      std::make_shared<ThresholdLf>(0, 1.0, StumpOp::kLessEqual, 0)};
+  EXPECT_FALSE(KeywordIndex::Build(mixed).has_value());
+  const std::optional<KeywordIndex> index =
+      KeywordIndex::Build({std::make_shared<KeywordLf>(7, "w7", 1)});
+  ASSERT_TRUE(index.has_value());
+  EXPECT_EQ(index->Find(7).nnz, 1);
+  for (int token : {-1, 0, 6, 8, 1 << 30}) {
+    EXPECT_EQ(index->Find(token).nnz, 0) << token;
+  }
 }
 
 TEST(LabelMatrixTest, RowAndActivity) {

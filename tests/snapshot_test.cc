@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/activedp.h"
@@ -225,8 +227,49 @@ TEST_F(SnapshotTest, InconsistentStateIsRejected) {
   EXPECT_FALSE(ModelSnapshot::Create(std::move(bad_params)).ok());
 }
 
-TEST(LabelModelParamsTest, AllModelsRoundTripPredictionsBitwise) {
-  // A small matrix every model family can fit.
+TEST_F(SnapshotTest, ConcurrentBatchesOnOneSharedSnapshot) {
+  Result<ModelSnapshot> exported = Export();
+  ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+  const auto snapshot =
+      std::make_shared<const ModelSnapshot>(std::move(*exported));
+  const Dataset& train = split_->train;
+  std::vector<ServedPrediction> reference;
+  for (int i = 0; i < train.size(); ++i) {
+    Result<ServedPrediction> p = snapshot->Predict(train.example(i));
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    reference.push_back(*p);
+  }
+  // Two dispatchers share the snapshot; each batch's row buffers belong to
+  // its call, so neither thread can see the other's rows.
+  std::atomic<int> mismatches{0};
+  const auto serve = [&](int offset) {
+    for (int pass = 0; pass < 3; ++pass) {
+      for (int begin = offset; begin < train.size(); begin += 32) {
+        const int end = std::min(train.size(), begin + 32);
+        const std::vector<Example> batch(train.examples().begin() + begin,
+                                         train.examples().begin() + end);
+        const std::vector<Result<ServedPrediction>> results =
+            snapshot->PredictBatch(batch);
+        for (int k = 0; k < end - begin; ++k) {
+          const ServedPrediction& want = reference[begin + k];
+          if (!results[k].ok() || results[k]->proba != want.proba ||
+              results[k]->label != want.label ||
+              results[k]->source != want.source) {
+            ++mismatches;
+          }
+        }
+      }
+    }
+  };
+  std::thread a(serve, 0);
+  std::thread b(serve, 16);  // shifted batches: different rows at once
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// A small 4-LF matrix every label-model family can fit at k = 2.
+LabelMatrix SmallBinaryMatrix() {
   LabelMatrix matrix(40);
   for (int j = 0; j < 4; ++j) {
     std::vector<int8_t> column(40, -1);
@@ -235,6 +278,151 @@ TEST(LabelModelParamsTest, AllModelsRoundTripPredictionsBitwise) {
     }
     matrix.AddColumn(std::move(column));
   }
+  return matrix;
+}
+
+/// `name`'s parameters fitted on SmallBinaryMatrix.
+std::string FittedParams(const std::string& name) {
+  Result<std::unique_ptr<LabelModel>> model = MakeLabelModelByName(name);
+  EXPECT_TRUE(model.ok()) << name;
+  EXPECT_TRUE((*model)->Fit(SmallBinaryMatrix(), 2).ok()) << name;
+  Result<std::string> params = (*model)->SerializeParams();
+  EXPECT_TRUE(params.ok()) << name;
+  return params.ok() ? *params : std::string();
+}
+
+/// A hand-built tabular state over two raw features (identity scaling):
+/// four stump LFs (feature 1 >= 1 and feature 0 >= 5 vote 1, feature
+/// 1 <= -1 and feature 0 <= -5 vote 0) under `label_model`, no AL model.
+SnapshotState TabularState(int num_classes, const std::string& label_model) {
+  SnapshotState state;
+  state.dataset = "hand-built";
+  state.task = TaskType::kTabularClassification;
+  state.num_classes = num_classes;
+  state.feature_dim = 2;
+  state.threshold = 0.9;
+  state.means = {0.0, 0.0};
+  state.inv_stddevs = {1.0, 1.0};
+  state.lfs = {
+      std::make_shared<ThresholdLf>(1, 1.0, StumpOp::kGreaterEqual, 1),
+      std::make_shared<ThresholdLf>(1, -1.0, StumpOp::kLessEqual, 0),
+      std::make_shared<ThresholdLf>(0, 5.0, StumpOp::kGreaterEqual, 1),
+      std::make_shared<ThresholdLf>(0, -5.0, StumpOp::kLessEqual, 0)};
+  state.label_model_name = label_model;
+  state.label_model_params = FittedParams(label_model);
+  return state;
+}
+
+TEST(SnapshotCreateTest, BinaryOnlyLabelModelsAreRefusedForThreeClasses) {
+  for (const std::string name : {"metal", "metal-completion",
+                                 "generative-dp"}) {
+    EXPECT_TRUE(ModelSnapshot::Create(TabularState(2, name)).ok()) << name;
+    Result<ModelSnapshot> three = ModelSnapshot::Create(TabularState(3, name));
+    ASSERT_FALSE(three.ok()) << name;
+    EXPECT_EQ(three.status().code(), StatusCode::kInvalidArgument) << name;
+    const std::string& message = three.status().message();
+    EXPECT_NE(message.find("'" + name + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find("3 classes"), std::string::npos) << message;
+  }
+}
+
+TEST(SnapshotCreateTest, LoadedThreeClassMetalFileIsRefused) {
+  Result<ModelSnapshot> two = ModelSnapshot::Create(TabularState(2, "metal"));
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  const std::string path = testing::TempDir() + "/metal3.snap";
+  ASSERT_TRUE(SaveSnapshot(*two, path).ok());
+  std::string content;
+  {
+    std::ifstream in(path);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  // Re-checksummed after the edit, so only Create can refuse the file.
+  std::string body = content.substr(0, content.rfind(kChecksumPrefix));
+  const size_t at = body.find("\nclasses 2\n");
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, 11, "\nclasses 3\n");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << WithChecksumFooter(body);
+  }
+  Result<ModelSnapshot> loaded = LoadSnapshot(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = loaded.status().message();
+  EXPECT_NE(message.find("'metal'"), std::string::npos) << message;
+  EXPECT_NE(message.find("3 classes"), std::string::npos) << message;
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotCreateTest, LfsOutsideTheSnapshotAreRefused) {
+  SnapshotState bad_label = TabularState(2, "majority-vote");
+  bad_label.lfs[0] =
+      std::make_shared<ThresholdLf>(1, 1.0, StumpOp::kGreaterEqual, 2);
+  EXPECT_FALSE(ModelSnapshot::Create(std::move(bad_label)).ok());
+  SnapshotState bad_feature = TabularState(2, "majority-vote");
+  bad_feature.lfs[0] =
+      std::make_shared<ThresholdLf>(2, 1.0, StumpOp::kGreaterEqual, 1);
+  EXPECT_FALSE(ModelSnapshot::Create(std::move(bad_feature)).ok());
+  SnapshotState bad_count = TabularState(2, "majority-vote");
+  bad_count.label_model_name = "metal";  // params fitted on 4 LFs
+  bad_count.label_model_params = FittedParams("metal");
+  bad_count.lfs.pop_back();
+  EXPECT_FALSE(ModelSnapshot::Create(std::move(bad_count)).ok());
+}
+
+TEST(SnapshotCreateTest, BatchRowsFailAndRouteIndependently) {
+  SnapshotState state = TabularState(2, "majority-vote");
+  // AL: logit(class 1) - logit(class 0) = 4 * feature 0, so feature 0 = 1
+  // clears τ = 0.9 (p = 0.982) and feature 0 = 0 (p = 0.5) does not.
+  Matrix al(2, 3);
+  al(1, 0) = 4.0;
+  state.al_weights = al;
+  Result<ModelSnapshot> snapshot = ModelSnapshot::Create(std::move(state));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  const auto row = [](std::vector<double> features) {
+    Example e;
+    e.features = std::move(features);
+    return e;
+  };
+  const Example al_row = row({1.0, 0.0});       // AL confident
+  const Example lm_row = row({0.0, 2.0});       // AL below τ, an LF fires
+  const Example reject_row = row({0.0, 0.0});   // AL below τ, all abstain
+  const Example wide_row = row({0.0, 2.0, 1.0});  // width mismatch
+  const std::vector<Example> batch = {al_row,   wide_row, reject_row, lm_row,
+                                      wide_row, al_row,   lm_row,     reject_row};
+  const std::vector<Result<ServedPrediction>> results =
+      snapshot->PredictBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  int errors = 0;
+  std::vector<int> by_source(3, 0);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Result<ServedPrediction> want = snapshot->Predict(batch[i]);
+    ASSERT_EQ(results[i].ok(), want.ok()) << "row " << i;
+    if (!want.ok()) {
+      EXPECT_EQ(results[i].status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(results[i].status().message(), want.status().message());
+      ++errors;
+      continue;
+    }
+    EXPECT_EQ(results[i]->proba, want->proba) << "row " << i;
+    EXPECT_EQ(results[i]->label, want->label) << "row " << i;
+    EXPECT_EQ(results[i]->source, want->source) << "row " << i;
+    ++by_source[static_cast<int>(want->source)];
+  }
+  EXPECT_EQ(errors, 2);
+  EXPECT_EQ(by_source[static_cast<int>(LabelSource::kActiveLearning)], 2);
+  EXPECT_EQ(by_source[static_cast<int>(LabelSource::kLabelModel)], 2);
+  EXPECT_EQ(by_source[static_cast<int>(LabelSource::kRejected)], 2);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(results[2]->proba.empty());
+  EXPECT_EQ(results[2]->label, kAbstain);
+  EXPECT_EQ(results[3]->label, 1);  // feature 1 >= 1 votes class 1
+}
+
+TEST(LabelModelParamsTest, AllModelsRoundTripPredictionsBitwise) {
+  const LabelMatrix matrix = SmallBinaryMatrix();
   const std::vector<std::string> names = {
       "majority-vote", "dawid-skene", "metal", "metal-completion",
       "generative-dp"};
