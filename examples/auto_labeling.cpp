@@ -121,7 +121,9 @@ int main() {
   std::vector<std::vector<double>> soft(train.size());
   for (int i = 0; i < train.size(); ++i) {
     if (matrix.AnyActive(i)) {
-      soft[i] = label_model->PredictProba(matrix.Row(i)).value();
+      soft[i] = label_model
+                    ->PredictProbaSparse(matrix.ActiveRow(i), matrix.num_cols())
+                    .value();
     }
   }
   // Keep the seed's exact labels too — they are known.
@@ -166,7 +168,10 @@ int main() {
   std::vector<std::vector<double>> lm_valid(split->valid.size());
   std::vector<bool> lm_valid_active(split->valid.size());
   for (int i = 0; i < split->valid.size(); ++i) {
-    lm_valid[i] = label_model->PredictProba(valid_matrix.Row(i)).value();
+    lm_valid[i] = label_model
+                      ->PredictProbaSparse(valid_matrix.ActiveRow(i),
+                                           valid_matrix.num_cols())
+                      .value();
     lm_valid_active[i] = valid_matrix.AnyActive(i);
   }
   const double tau = ConFusion::TuneThreshold(
@@ -176,7 +181,10 @@ int main() {
   std::vector<std::vector<double>> lm_train(train.size());
   std::vector<bool> lm_train_active(train.size());
   for (int i = 0; i < train.size(); ++i) {
-    lm_train[i] = label_model->PredictProba(matrix.Row(i)).value();
+    lm_train[i] = label_model
+                      ->PredictProbaSparse(matrix.ActiveRow(i),
+                                           matrix.num_cols())
+                      .value();
     lm_train_active[i] = matrix.AnyActive(i);
   }
   AggregatedLabels combined =

@@ -56,7 +56,8 @@ int main() {
               100.0 * matrix.OverallCoverage());
   std::printf("%-28s %-9s %-9s\n", "LF", "coverage", "accuracy");
   for (int j = 0; j < matrix.num_cols(); ++j) {
-    const LfColumnStats stats = ComputeColumnStats(matrix.column(j), truth);
+    const LfColumnStats stats =
+        ComputeColumnStats(ApplyLf(*lfs[j], train), truth);
     std::printf("%-28s %-9.3f %-9.3f\n", lfs[j]->Name().c_str(),
                 stats.coverage, stats.accuracy);
   }
@@ -83,7 +84,9 @@ int main() {
     std::vector<std::vector<double>> soft(train.size());
     for (int i = 0; i < train.size(); ++i) {
       if (matrix.AnyActive(i)) {
-        soft[i] = model->PredictProba(matrix.Row(i)).value();
+        soft[i] = model->PredictProbaSparse(matrix.ActiveRow(i),
+                                            matrix.num_cols())
+                      .value();
       }
     }
     double end_accuracy = 0.0;

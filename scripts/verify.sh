@@ -3,11 +3,11 @@
 #   1. tier-1 build + ctest (the suite every PR must keep green)
 #   2. the observability suite (ctest -L trace: tracer, metrics, log sink)
 #   3. the same suite under the ASan+UBSan preset
-#   4. the thread-pool, pipeline and observability tests under TSan
-#      (-DACTIVEDP_SANITIZE=thread), which is what certifies the
-#      batch-scoped pool and its per-seed fan-out, the serving dispatchers
-#      and router, the label matrix's lazily built row view and pair-moment
-#      store, and the tracer / metrics / retry-log write paths race-free
+#   4. the experiment, pipeline and observability tests under TSan
+#      (-DACTIVEDP_SANITIZE=thread), which is what certifies the per-seed
+#      thread fan-out, the serving dispatchers and router, label matrices
+#      read from several threads, and the tracer / metrics / retry-log write
+#      paths race-free
 #   5. the serving suite (ctest -L serve: snapshot export/IO round-trips,
 #      the batched prediction service with served == offline across batch
 #      sizes and a hot swap under load, and the shard router)
@@ -120,16 +120,16 @@ if gate_enabled asan "$SKIP_ASAN"; then
 fi
 
 if gate_enabled tsan "$SKIP_TSAN"; then
-  echo "== thread-pool + parallel-stage + observability tests under TSan =="
+  echo "== experiment + parallel-stage + observability tests under TSan =="
   cmake -B build-tsan -S . -DACTIVEDP_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target thread_pool_test determinism_test trace_test util_metrics_test \
+    --target experiment_test determinism_test trace_test util_metrics_test \
              logging_test retry_test serve_test snapshot_test registry_test \
              rollout_test shard_router_test event_log_test retrainer_test \
              obs_test label_model_test sparse_kernels_test label_matrix_test \
              activedp_incremental_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R "thread_pool_test|determinism_test|trace_test|util_metrics_test|logging_test|retry_test|serve_test|snapshot_test|registry_test|rollout_test|shard_router_test|event_log_test|retrainer_test|obs_test|label_model_test|sparse_kernels_test|label_matrix_test|activedp_incremental_test"
+    -R "experiment_test|determinism_test|trace_test|util_metrics_test|logging_test|retry_test|serve_test|snapshot_test|registry_test|rollout_test|shard_router_test|event_log_test|retrainer_test|obs_test|label_model_test|sparse_kernels_test|label_matrix_test|activedp_incremental_test"
 fi
 
 if gate_enabled serve "$SKIP_SERVE"; then

@@ -128,18 +128,33 @@ Status ActiveDp::Restore(const SessionState& state) {
       state.pseudo_labels.size() != state.lfs.size()) {
     return Status::InvalidArgument("session state sizes are inconsistent");
   }
+  // Everything is checked before anything changes, so a refused session
+  // leaves the pipeline fresh.
+  RETURN_IF_ERROR(ValidateLfs(state.lfs, context_->num_classes,
+                              context_->split->train.meta().task,
+                              context_->feature_dim));
   const int n = context_->split->train.size();
+  for (size_t i = 0; i < state.lfs.size(); ++i) {
+    const int query = state.query_indices[i];
+    if (query < -1 || query >= n) {
+      return Status::OutOfRange("query index " + std::to_string(query) +
+                                " outside the training set");
+    }
+    const int pseudo = state.pseudo_labels[i];
+    if (pseudo < -1 || pseudo >= context_->num_classes) {
+      return Status::InvalidArgument(
+          "pseudo-label " + std::to_string(pseudo) + " of LF " +
+          std::to_string(i) + " is not a class of " +
+          std::to_string(context_->num_classes));
+    }
+  }
   for (size_t i = 0; i < state.lfs.size(); ++i) {
     const LfPtr& lf = state.lfs[i];
     lfs_.push_back(lf);
     AddLfColumns(*lf);
     const int query = state.query_indices[i];
     if (query < 0) continue;  // hand-written LF: no pseudo-label anchor
-    if (query >= n) {
-      return Status::OutOfRange("query index " + std::to_string(query) +
-                                " outside the training set");
-    }
-    if (!queried_[query]) queried_[query] = true;
+    queried_[query] = true;
     query_indices_.push_back(query);
     pseudo_labels_.push_back(state.pseudo_labels[i] >= 0
                                  ? state.pseudo_labels[i]

@@ -83,7 +83,10 @@ class ActiveDp : public InteractiveFramework {
   /// Resumes a persisted session (see core/session_io.h): replays the saved
   /// LFs and query/pseudo-label pairs into a fresh pipeline and retrains
   /// both models once. Must be called before the first Step(). Entries with
-  /// query index -1 (hand-written LFs) contribute no pseudo-label.
+  /// query index -1 (hand-written LFs) contribute no pseudo-label; a
+  /// pseudo-label of -1 means the LF's own vote. Every LF (ValidateLfs),
+  /// query index and pseudo-label is checked first: a refused session
+  /// (InvalidArgument / OutOfRange) leaves the pipeline fresh.
   Status Restore(const SessionState& state);
 
   /// Snapshot of the current session for SaveSession().

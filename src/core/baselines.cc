@@ -264,7 +264,6 @@ std::vector<std::vector<double>> IwsFramework::CurrentTrainingLabels() {
   if (final_lfs.empty()) return soft;
   const LabelMatrix matrix = ApplyLfs(final_lfs, context_->split->train);
   if (!label_model_->Fit(matrix, context_->num_classes).ok()) return soft;
-  matrix.EnsureRows();
   for (int i = 0; i < n; ++i) {
     if (!matrix.AnyActive(i)) continue;
     Result<std::vector<double>> p = label_model_->PredictProbaSparse(
@@ -289,10 +288,10 @@ RlfFramework::RlfFramework(const FrameworkContext& context,
       label_model_(MakeLabelModel(options.label_model_type)) {}
 
 void RlfFramework::ReviseRow(int row, int label) {
-  for (int j = 0; j < train_matrix_.num_cols(); ++j) {
-    if (train_matrix_.At(row, j) != kAbstain) {
-      train_matrix_.Set(row, j, label);
-    }
+  // Relabel keeps the row's shape, so the view stays valid.
+  const ActiveRowView entries = train_matrix_.ActiveRow(row);
+  for (int e = 0; e < entries.nnz; ++e) {
+    train_matrix_.Relabel(row, entries.cols[e], label);
   }
 }
 
@@ -312,15 +311,16 @@ Status RlfFramework::Step() {
     std::optional<LfCandidate> response = user_.CreateLf(q);
     if (response.has_value()) {
       lfs_.push_back(response->lf);
-      train_matrix_.AddColumn(ApplyLf(*response->lf, context_->split->train));
+      std::vector<int8_t> column =
+          ApplyLf(*response->lf, context_->split->train);
       // Keep the new column consistent with already-corrected rows.
       for (size_t r = 0; r < labeled_rows_.size(); ++r) {
         const int row = labeled_rows_[r];
-        if (train_matrix_.At(row, train_matrix_.num_cols() - 1) != kAbstain) {
-          train_matrix_.Set(row, train_matrix_.num_cols() - 1,
-                            labeled_values_[r]);
+        if (column[row] != kAbstain) {
+          column[row] = static_cast<int8_t>(labeled_values_[r]);
         }
       }
+      train_matrix_.AddColumn(std::move(column));
     }
   }
 

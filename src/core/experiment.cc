@@ -1,6 +1,10 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "core/run_checkpoint.h"
 #include "data/dataset_zoo.h"
@@ -8,7 +12,6 @@
 #include "ml/metrics.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/trace.h"
@@ -187,6 +190,48 @@ RunResult RunProtocol(InteractiveFramework& framework,
   return result;
 }
 
+void ForEachSeed(int num_seeds, int num_threads,
+                 const std::function<void(int)>& body) {
+  const int workers = std::min(num_threads, num_seeds);
+  if (workers <= 1) {
+    for (int s = 0; s < num_seeds; ++s) body(s);
+    return;
+  }
+  std::atomic<int> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // the first failure, under error_mutex
+  const auto record = [&](std::exception_ptr thrown) {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!error) error = std::move(thrown);
+    failed = true;
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (int w = 0; w < workers; ++w) {
+    try {
+      threads.emplace_back([&] {
+        while (!failed) {
+          const int s = next++;
+          if (s >= num_seeds) return;
+          try {
+            body(s);
+          } catch (...) {
+            record(std::current_exception());
+          }
+        }
+      });
+    } catch (...) {
+      // A thread that could not start: the ones running stop claiming,
+      // and the failure is rethrown once they have joined.
+      record(std::current_exception());
+      break;
+    }
+  }
+  for (std::thread& thread : threads) thread.join();
+  if (error) std::rethrow_exception(error);
+}
+
 Result<RunResult> RunExperiment(const ExperimentSpec& spec) {
   CHECK_GT(spec.num_seeds, 0);
 
@@ -203,13 +248,13 @@ Result<RunResult> RunExperiment(const ExperimentSpec& spec) {
   // Worker isolation: each seed runs under its own cancellation source
   // (child of the experiment token) and, when a per-seed budget is set,
   // its own deadline backed by the watchdog — so one wedged or faulted
-  // seed is cancelled and excluded instead of holding its pool slot.
+  // seed is cancelled and excluded instead of holding its thread.
   Watchdog watchdog;
 
   // Each seed is a self-contained (dataset, framework, protocol) run.
   auto run_seed = [&spec, &watchdog](int s) -> Result<RunResult> {
     // Each seed records on its own trace track, so parallel seeds land on
-    // separate deterministic lanes regardless of pool scheduling.
+    // separate deterministic lanes regardless of thread scheduling.
     TraceTrackScope track(s);
     TraceSpan seed_span("experiment.seed");
     seed_span.AddArg("seed_ordinal", s);
@@ -250,16 +295,10 @@ Result<RunResult> RunExperiment(const ExperimentSpec& spec) {
     return RunProtocol(*framework, context, protocol);
   };
 
-  std::vector<Result<RunResult>> runs;
-  runs.reserve(spec.num_seeds);
-  if (spec.num_threads > 1 && spec.num_seeds > 1) {
-    runs.assign(spec.num_seeds, Status::Internal("seed not run"));
-    ThreadPool pool(std::min(spec.num_threads, spec.num_seeds));
-    ParallelFor(&pool, spec.num_seeds,
-                [&](int s) { runs[s] = run_seed(s); });
-  } else {
-    for (int s = 0; s < spec.num_seeds; ++s) runs.push_back(run_seed(s));
-  }
+  std::vector<Result<RunResult>> runs(spec.num_seeds,
+                                      Status::Internal("seed not run"));
+  ForEachSeed(spec.num_seeds, spec.num_threads,
+              [&](int s) { runs[s] = run_seed(s); });
 
   if (tracing) {
     const RunTrace trace = Tracer::Global().Collect();

@@ -1,6 +1,7 @@
 #ifndef ACTIVEDP_CORE_EXPERIMENT_H_
 #define ACTIVEDP_CORE_EXPERIMENT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,9 +91,10 @@ struct ExperimentSpec {
   double data_scale = 0.1;  // fraction of paper's Table 2 sizes
   int num_seeds = 2;        // paper: 5
   uint64_t base_seed = 1;
-  /// Seeds are independent; > 1 runs them on a thread pool. Results are
-  /// identical to the serial run (every seed is self-contained and
-  /// deterministic). The stages inside a seed run inline on its thread.
+  /// Seeds are independent; > 1 runs them on up to this many threads (see
+  /// ForEachSeed). Results are identical to the serial run (every seed is
+  /// self-contained and deterministic). The stages inside a seed run inline
+  /// on its thread.
   int num_threads = 1;
   /// Shared robustness/observability policy (see core/run_policy.h). At
   /// this level `policy.checkpoint_path` is a *directory*: each seed
@@ -116,6 +118,14 @@ struct ExperimentSpec {
 /// averages instead of failing the experiment; only when no seed completes
 /// does RunExperiment return the first failure.
 Result<RunResult> RunExperiment(const ExperimentSpec& spec);
+
+/// Runs body(s) for every seed s in [0, num_seeds): in order on the calling
+/// thread when num_threads <= 1, otherwise on min(num_threads, num_seeds)
+/// threads that claim seeds from a shared counter. The first exception a
+/// body throws stops further claims and is rethrown here once every thread
+/// has joined; seeds already running finish.
+void ForEachSeed(int num_seeds, int num_threads,
+                 const std::function<void(int)>& body);
 
 }  // namespace activedp
 

@@ -54,12 +54,16 @@ Result<std::vector<int>> LabelPick(
   }
 
   // Step 2: Markov blanket of the label over L_Λ = {(Λ_t(x_l), ỹ_l)}.
+  // Abstains encode to 0, so only each row's firing survivors are written.
   const int p = static_cast<int>(survivors.size()) + 1;  // + label column
+  std::vector<int> position(num_lfs, -1);  // LF -> survivor column
+  for (int jj = 0; jj < p - 1; ++jj) position[survivors[jj]] = jj;
   Matrix data(t, p);
   for (int i = 0; i < t; ++i) {
-    for (size_t jj = 0; jj < survivors.size(); ++jj) {
-      data(i, static_cast<int>(jj)) =
-          EncodeWeakLabel(query_matrix.At(i, survivors[jj]), num_classes);
+    const ActiveRowView row = query_matrix.ActiveRow(i);
+    for (int e = 0; e < row.nnz; ++e) {
+      const int jj = position[row.cols[e]];
+      if (jj >= 0) data(i, jj) = EncodeWeakLabel(row.labels[e], num_classes);
     }
     data(i, p - 1) = EncodeWeakLabel(pseudo_labels[i], num_classes);
   }

@@ -55,19 +55,34 @@ Status DawidSkeneModel::FitSemiSupervised(
       q[i][anchor[i]] = 1.0;
       continue;
     }
-    double active = 0.0;
-    for (int j = 0; j < m; ++j) {
-      const int l = matrix.At(i, j);
-      if (l == kAbstain) continue;
-      q[i][l] += 1.0;
-      active += 1.0;
-    }
-    if (active > 0.0) {
+    const ActiveRowView row = matrix.ActiveRow(i);
+    for (int k = 0; k < row.nnz; ++k) q[i][row.labels[k]] += 1.0;
+    if (row.nnz > 0) {
+      const double active = row.nnz;
       for (double& p : q[i]) p /= active;
     } else {
       for (double& p : q[i]) p = 1.0 / num_classes;
     }
   }
+
+  // Calls visit(j, l) for every LF j with an outcome l on row i, in
+  // ascending j: the LFs that fire and, when abstentions are modelled, the
+  // ones that abstain (outcome num_classes).
+  const auto for_each_outcome = [&](int i, const auto& visit) {
+    const ActiveRowView row = matrix.ActiveRow(i);
+    if (!options_.model_abstentions) {
+      for (int k = 0; k < row.nnz; ++k) visit(row.cols[k], row.labels[k]);
+      return;
+    }
+    int k = 0;
+    for (int j = 0; j < m; ++j) {
+      if (k < row.nnz && row.cols[k] == j) {
+        visit(j, row.labels[k++]);
+      } else {
+        visit(j, num_classes);
+      }
+    }
+  };
 
   TraceSpan span("dawid_skene.fit");
   span.AddArg("rows", n);
@@ -75,6 +90,8 @@ Status DawidSkeneModel::FitSemiSupervised(
 
   priors_.assign(num_classes, 1.0 / num_classes);
   confusions_.assign(m, Matrix(num_classes, outcomes));
+  const SpinPairMoments& moments = matrix.PairMoments();
+  std::vector<Matrix> counts(m, Matrix(num_classes, outcomes));
   double prev_loglik = -1e300;
 
   for (iterations_run_ = 0; iterations_run_ < options_.max_iterations;
@@ -96,28 +113,27 @@ Status DawidSkeneModel::FitSemiSupervised(
     for (int c = 0; c < num_classes; ++c) {
       priors_[c] = prior_counts[c] / prior_total;
     }
+    // Rows are scattered into every LF's counts at once, in ascending row
+    // order, so each cell sums the same terms in the same order as a sweep
+    // down one LF's column would.
     for (int j = 0; j < m; ++j) {
-      int activations = 0;
-      for (int i = 0; i < n; ++i) {
-        if (matrix.At(i, j) != kAbstain) ++activations;
-      }
-      const double anchor =
+      const double diagonal =
           options_.diagonal_prior +
-          options_.diagonal_prior_fraction * activations;
-      Matrix counts(num_classes, outcomes, options_.smoothing);
-      for (int c = 0; c < num_classes; ++c) {
-        counts(c, c) += anchor;
-      }
-      for (int i = 0; i < n; ++i) {
-        const int l = OutcomeIndex(matrix.At(i, j));
-        if (l < 0) continue;
-        for (int c = 0; c < num_classes; ++c) counts(c, l) += q[i][c];
-      }
+          options_.diagonal_prior_fraction * moments.Active(j);
+      counts[j] = Matrix(num_classes, outcomes, options_.smoothing);
+      for (int c = 0; c < num_classes; ++c) counts[j](c, c) += diagonal;
+    }
+    for (int i = 0; i < n; ++i) {
+      for_each_outcome(i, [&](int j, int l) {
+        for (int c = 0; c < num_classes; ++c) counts[j](c, l) += q[i][c];
+      });
+    }
+    for (int j = 0; j < m; ++j) {
       for (int c = 0; c < num_classes; ++c) {
         double row_total = 0.0;
-        for (int l = 0; l < outcomes; ++l) row_total += counts(c, l);
+        for (int l = 0; l < outcomes; ++l) row_total += counts[j](c, l);
         for (int l = 0; l < outcomes; ++l) {
-          confusions_[j](c, l) = counts(c, l) / row_total;
+          confusions_[j](c, l) = counts[j](c, l) / row_total;
         }
       }
     }
@@ -129,13 +145,11 @@ Status DawidSkeneModel::FitSemiSupervised(
       for (int c = 0; c < num_classes; ++c) {
         log_post[c] = std::log(priors_[c]);
       }
-      for (int j = 0; j < m; ++j) {
-        const int l = OutcomeIndex(matrix.At(i, j));
-        if (l < 0) continue;
+      for_each_outcome(i, [&](int j, int l) {
         for (int c = 0; c < num_classes; ++c) {
           log_post[c] += std::log(confusions_[j](c, l));
         }
-      }
+      });
       const double lse = LogSumExp(log_post);
       loglik += lse;
       if (anchor[i] >= 0) continue;  // clamped posterior

@@ -28,15 +28,6 @@ Status GenerativeModel::Fit(const LabelMatrix& matrix, int num_classes) {
   thetas_.assign(m, 0.2);  // mildly better-than-random initialization
   theta0_ = 0.0;
 
-  // Per-row spin lists (sparse) for fast gradient passes.
-  std::vector<std::vector<std::pair<int, double>>> active(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < m; ++j) {
-      const double s = ToSpin(matrix.At(i, j));
-      if (s != 0.0) active[i].emplace_back(j, s);
-    }
-  }
-
   std::vector<double> grad(m);
   for (int iter = 0; iter < options_.iterations; ++iter) {
     std::fill(grad.begin(), grad.end(), 0.0);
@@ -46,13 +37,20 @@ Status GenerativeModel::Fit(const LabelMatrix& matrix, int num_classes) {
     // score(y) = θ_0 y + Σ_j θ_j λ_ij y, the posterior is
     // p_i = P(y=+1 | λ_i) = sigmoid(2 * score_half) where
     // score_half = θ_0 + Σ θ_j λ_ij.
+    // Each row's active LFs come from the matrix's row view, in ascending
+    // column order.
     for (int i = 0; i < n; ++i) {
+      const ActiveRowView row = matrix.ActiveRow(i);
       double score_half = theta0_;
-      for (const auto& [j, s] : active[i]) score_half += thetas_[j] * s;
+      for (int k = 0; k < row.nnz; ++k) {
+        score_half += thetas_[row.cols[k]] * ToSpin(row.labels[k]);
+      }
       const double p = Sigmoid(2.0 * score_half);
       const double ey = 2.0 * p - 1.0;  // E[y | λ_i]
       grad0 += ey;
-      for (const auto& [j, s] : active[i]) grad[j] += s * ey;
+      for (int k = 0; k < row.nnz; ++k) {
+        grad[row.cols[k]] += ToSpin(row.labels[k]) * ey;
+      }
     }
 
     // Model term: n * E_model[λ_j y]. Under the factorized model

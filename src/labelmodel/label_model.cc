@@ -46,7 +46,6 @@ Status LabelModel::PredictProbaInto(const ActiveRowView& row, int num_cols,
 Status LabelModel::PredictProbaTable(const LabelMatrix& matrix,
                                      int num_classes,
                                      ProbaTable* table) const {
-  matrix.EnsureRows();
   table->Resize(matrix.num_rows(), num_classes);
   for (int i = 0; i < matrix.num_rows(); ++i) {
     RETURN_IF_ERROR(PredictProbaInto(matrix.ActiveRow(i), matrix.num_cols(),
@@ -60,7 +59,6 @@ Result<std::vector<std::vector<double>>> LabelModel::PredictProbaAll(
     const LabelMatrix& matrix) const {
   TraceSpan span("labelmodel.predict_all");
   span.AddArg("rows", matrix.num_rows());
-  matrix.EnsureRows();
   const int num_cols = matrix.num_cols();
   std::vector<std::vector<double>> out(matrix.num_rows());
   for (int i = 0; i < matrix.num_rows(); ++i) {
@@ -74,7 +72,6 @@ Result<std::vector<int>> LabelModel::PredictAll(
     const LabelMatrix& matrix) const {
   TraceSpan span("labelmodel.predict_all");
   span.AddArg("rows", matrix.num_rows());
-  matrix.EnsureRows();
   const int num_cols = matrix.num_cols();
   std::vector<int> out(matrix.num_rows(), kAbstain);
   for (int i = 0; i < matrix.num_rows(); ++i) {

@@ -13,8 +13,7 @@ Status MajorityVoteModel::Fit(const LabelMatrix& matrix, int num_classes) {
     return Status::InvalidArgument("label matrix has no LF columns");
   num_classes_ = num_classes;
   // Estimate class priors from per-row majority votes (uniform fallback).
-  // Row-driven off the CSR view: O(nnz) instead of O(n m).
-  matrix.EnsureRows();
+  // Row-driven off the row view: O(nnz) instead of O(n m).
   std::vector<double> counts(num_classes, 1.0);  // Laplace smoothing
   std::vector<double> votes(num_classes, 0.0);
   for (int i = 0; i < matrix.num_rows(); ++i) {

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "data/dataset.h"
 #include "data/example.h"
+#include "util/result.h"
 
 namespace activedp {
 
@@ -92,6 +94,15 @@ class ThresholdLf : public LabelFunction {
   double threshold_;
   StumpOp op_;
 };
+
+/// Checks that every LF can run on the rows of a task with `num_classes`
+/// classes and `feature_dim` features before any of them is applied: it
+/// votes a class in [0, num_classes) (weak labels travel as int8, as in
+/// LabelMatrix) and reads only what such a row carries — a keyword id inside
+/// [0, feature_dim) and a stump feature inside a tabular row.
+/// InvalidArgument naming the first LF that does not.
+Status ValidateLfs(const std::vector<LfPtr>& lfs, int num_classes,
+                   TaskType task, int feature_dim);
 
 }  // namespace activedp
 

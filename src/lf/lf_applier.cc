@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -19,27 +20,22 @@ void LabelMatrix::AddColumn(std::vector<int8_t> column) {
   CHECK_EQ(static_cast<int>(column.size()), num_rows_);
   std::vector<int32_t> fires;  // rows the column fires on, ascending
   for (int i = 0; i < num_rows_; ++i) {
-    if (column[i] == kAbstain) continue;
-    ++active_count_[i];
-    fires.push_back(i);
+    if (column[i] != kAbstain) fires.push_back(i);
   }
   // The moment update reads the rows' earlier entries, so it runs before
   // the merge adds the new one.
-  if (moments_.has_value()) AddColumnMoments(column, fires);
-  if (rows_built_) MergeColumnIntoRows(column, fires);
-  columns_.push_back(
-      std::make_shared<std::vector<int8_t>>(std::move(column)));
+  AddColumnMoments(column, fires);
+  MergeColumnIntoRows(column, fires);
 }
 
 void LabelMatrix::AddColumnMoments(const std::vector<int8_t>& column,
-                                   const std::vector<int32_t>& fires) const {
-  SpinPairMoments& moments = *moments_;
+                                   const std::vector<int32_t>& fires) {
   const int c = num_cols();
-  const size_t run = moments.sum_.size();
-  moments.sum_.resize(run + c, 0);
-  moments.count_.resize(run + c, 0);
-  int32_t* sum = moments.sum_.data() + run;
-  int32_t* count = moments.count_.data() + run;
+  const size_t run = moments_.sum_.size();
+  moments_.sum_.resize(run + c, 0);
+  moments_.count_.resize(run + c, 0);
+  int32_t* sum = moments_.sum_.data() + run;
+  int32_t* count = moments_.count_.data() + run;
   for (const int32_t i : fires) {
     const int s = Spin(column[i]);
     const ActiveRowView row = ActiveRow(i);
@@ -48,12 +44,13 @@ void LabelMatrix::AddColumnMoments(const std::vector<int8_t>& column,
       ++count[row.cols[k]];
     }
   }
-  moments.active_.push_back(static_cast<int32_t>(fires.size()));
+  moments_.active_.push_back(static_cast<int32_t>(fires.size()));
 }
 
 void LabelMatrix::MergeColumnIntoRows(const std::vector<int8_t>& column,
-                                      const std::vector<int32_t>& fires) const {
-  const int32_t col = num_cols();
+                                      const std::vector<int32_t>& fires) {
+  // Runs after AddColumnMoments, so the new column is already counted.
+  const int32_t col = num_cols() - 1;
   const int64_t added = static_cast<int64_t>(fires.size());
   row_cols_.resize(row_cols_.size() + added);
   row_labels_.resize(row_labels_.size() + added);
@@ -81,66 +78,34 @@ void LabelMatrix::MergeColumnIntoRows(const std::vector<int8_t>& column,
   }
 }
 
-void LabelMatrix::Set(int row, int col, int value) {
-  std::shared_ptr<std::vector<int8_t>>& column = columns_[col];
-  if (column.use_count() > 1) {
-    column = std::make_shared<std::vector<int8_t>>(*column);
+int LabelMatrix::At(int row, int col) const {
+  const ActiveRowView entries = ActiveRow(row);
+  for (int e = 0; e < entries.nnz && entries.cols[e] <= col; ++e) {
+    if (entries.cols[e] == col) return entries.labels[e];
   }
-  const int8_t old = (*column)[row];
-  if (old != kAbstain) --active_count_[row];
-  if (value != kAbstain) ++active_count_[row];
-  (*column)[row] = static_cast<int8_t>(value);
-  rows_built_ = false;
-  moments_.reset();
+  return kAbstain;
 }
 
-std::vector<int> LabelMatrix::Row(int row) const {
-  std::vector<int> out(columns_.size());
-  for (size_t j = 0; j < columns_.size(); ++j) out[j] = (*columns_[j])[row];
-  return out;
-}
-
-std::vector<int> LabelMatrix::Row(int row, const std::vector<int>& cols) const {
-  std::vector<int> out(cols.size());
-  for (size_t j = 0; j < cols.size(); ++j) out[j] = (*columns_[cols[j]])[row];
-  return out;
-}
-
-bool LabelMatrix::AnyActive(int row, const std::vector<int>& cols) const {
-  for (int j : cols) {
-    if ((*columns_[j])[row] != kAbstain) return true;
+void LabelMatrix::Relabel(int row, int col, int label) {
+  CHECK(label >= 0 && label <= std::numeric_limits<int8_t>::max())
+      << "label " << label;
+  const int64_t begin = row_ptr_[row];
+  const int64_t end = row_ptr_[row + 1];
+  int64_t at = begin;
+  while (at < end && row_cols_[at] != col) ++at;
+  CHECK(at < end) << "Relabel(" << row << ", " << col
+                  << ") of an entry that abstains";
+  const int delta = Spin(static_cast<int8_t>(label)) - Spin(row_labels_[at]);
+  row_labels_[at] = static_cast<int8_t>(label);
+  if (delta == 0) return;
+  for (int64_t e = begin; e < end; ++e) {
+    if (e == at) continue;
+    moments_.sum_[SpinPairMoments::Index(col, row_cols_[e])] +=
+        delta * Spin(row_labels_[e]);
   }
-  return false;
-}
-
-void LabelMatrix::EnsureRows() const {
-  if (rows_built_) return;
-  row_ptr_.assign(num_rows_ + 1, 0);
-  int64_t total = 0;
-  for (int i = 0; i < num_rows_; ++i) {
-    row_ptr_[i] = total;
-    total += active_count_[i];
-  }
-  row_ptr_[num_rows_] = total;
-  row_cols_.resize(total);
-  row_labels_.resize(total);
-  // Column-major sweep with a per-row write cursor: each row's entries land
-  // in ascending column order because columns are visited in order.
-  std::vector<int64_t> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    const std::vector<int8_t>& col = *columns_[j];
-    for (int i = 0; i < num_rows_; ++i) {
-      if (col[i] == kAbstain) continue;
-      row_cols_[cursor[i]] = static_cast<int32_t>(j);
-      row_labels_[cursor[i]] = col[i];
-      ++cursor[i];
-    }
-  }
-  rows_built_ = true;
 }
 
 ActiveRowView LabelMatrix::ActiveRow(int row) const {
-  DCHECK(rows_built_);
   DCHECK(row >= 0 && row < num_rows_);
   ActiveRowView view;
   view.cols = row_cols_.data() + row_ptr_[row];
@@ -149,32 +114,26 @@ ActiveRowView LabelMatrix::ActiveRow(int row) const {
   return view;
 }
 
-const SpinPairMoments& LabelMatrix::PairMoments() const {
-  if (moments_.has_value()) return *moments_;
-  EnsureRows();
-  const int m = num_cols();
-  SpinPairMoments& moments = moments_.emplace();
-  moments.sum_.assign(SpinPairMoments::Index(m, 0), 0);
-  moments.count_.assign(moments.sum_.size(), 0);
-  moments.active_.assign(m, 0);
+void LabelMatrix::SumMoments(int num_cols) {
+  moments_.sum_.assign(SpinPairMoments::Index(num_cols, 0), 0);
+  moments_.count_.assign(moments_.sum_.size(), 0);
+  moments_.active_.assign(num_cols, 0);
   for (int i = 0; i < num_rows_; ++i) {
     const ActiveRowView row = ActiveRow(i);
     for (int b = 0; b < row.nnz; ++b) {
       const int sb = Spin(row.labels[b]);
-      ++moments.active_[row.cols[b]];
+      ++moments_.active_[row.cols[b]];
       // The row's earlier columns a < b: one run of the packed triangle.
       const size_t run = SpinPairMoments::Index(row.cols[b], 0);
       for (int a = 0; a < b; ++a) {
-        moments.sum_[run + row.cols[a]] += Spin(row.labels[a]) * sb;
-        ++moments.count_[run + row.cols[a]];
+        moments_.sum_[run + row.cols[a]] += Spin(row.labels[a]) * sb;
+        ++moments_.count_[run + row.cols[a]];
       }
     }
   }
-  return moments;
 }
 
 CsrMatrix LabelMatrix::SpinCsr() const {
-  EnsureRows();
   CsrMatrix out(num_rows_, num_cols());
   out.ReserveNnz(row_ptr_[num_rows_]);
   std::vector<double> spins;
@@ -202,28 +161,20 @@ LabelMatrix LabelMatrix::SelectColumns(const std::vector<int>& cols) const {
     head[cols[c]] = c;
     if (c + 1 < k && cols[c] >= cols[c + 1]) ascending = false;
   }
-  const SpinPairMoments& moments = PairMoments();  // also builds the rows
-  // Every column in order: the child is a copy, caches included.
+  // Every column in order: the child is a copy.
   if (ascending && k == num_cols()) return *this;
 
-  LabelMatrix out(num_rows_);
-  out.columns_.reserve(k);
-  for (int j : cols) out.columns_.push_back(columns_[j]);
-
-  // Row view: count, then fill. An ascending selection maps each row's
+  // Rows: count, then fill. An ascending selection maps each row's
   // ascending parent columns to ascending child positions; otherwise each
   // row's entries are sorted by position afterwards.
-  out.row_ptr_.resize(num_rows_ + 1);
+  LabelMatrix out(num_rows_);
   int64_t total = 0;
   for (int i = 0; i < num_rows_; ++i) {
     out.row_ptr_[i] = total;
     const ActiveRowView row = ActiveRow(i);
-    int32_t count = 0;
     for (int e = 0; e < row.nnz; ++e) {
-      for (int32_t c = head[row.cols[e]]; c >= 0; c = next[c]) ++count;
+      for (int32_t c = head[row.cols[e]]; c >= 0; c = next[c]) ++total;
     }
-    out.active_count_[i] = count;
-    total += count;
   }
   out.row_ptr_[num_rows_] = total;
   out.row_cols_.resize(total);
@@ -253,52 +204,41 @@ LabelMatrix LabelMatrix::SelectColumns(const std::vector<int>& cols) const {
       out.row_labels_[f] = label;
     }
   }
-  out.rows_built_ = true;
 
-  SpinPairMoments& child = out.moments_.emplace();
+  SpinPairMoments& child = out.moments_;
   child.sum_.reserve(SpinPairMoments::Index(k, 0));
   child.count_.reserve(child.sum_.capacity());
   for (int a = 0; a < k; ++a) {
-    child.active_.push_back(moments.Active(cols[a]));
+    child.active_.push_back(moments_.Active(cols[a]));
     for (int b = 0; b < a; ++b) {
-      child.sum_.push_back(moments.Sum(cols[a], cols[b]));
-      child.count_.push_back(moments.Count(cols[a], cols[b]));
+      child.sum_.push_back(moments_.Sum(cols[a], cols[b]));
+      child.count_.push_back(moments_.Count(cols[a], cols[b]));
     }
   }
   return out;
 }
 
 LabelMatrix LabelMatrix::SelectRows(const std::vector<int>& rows) const {
-  EnsureRows();
   const int k = static_cast<int>(rows.size());
   LabelMatrix out(k);
-  out.row_ptr_.resize(k + 1);
   int64_t total = 0;
   for (int i = 0; i < k; ++i) {
     CHECK_GE(rows[i], 0);
     CHECK_LT(rows[i], num_rows_);
     out.row_ptr_[i] = total;
-    out.active_count_[i] = active_count_[rows[i]];
-    total += active_count_[rows[i]];
+    total += ActiveCount(rows[i]);
   }
   out.row_ptr_[k] = total;
   out.row_cols_.resize(total);
   out.row_labels_.resize(total);
-  for (int j = 0; j < num_cols(); ++j) {
-    out.columns_.push_back(std::make_shared<std::vector<int8_t>>(
-        k, static_cast<int8_t>(kAbstain)));
-  }
   for (int i = 0; i < k; ++i) {
     const ActiveRowView row = ActiveRow(rows[i]);
     std::copy(row.cols, row.cols + row.nnz,
               out.row_cols_.begin() + out.row_ptr_[i]);
     std::copy(row.labels, row.labels + row.nnz,
               out.row_labels_.begin() + out.row_ptr_[i]);
-    for (int e = 0; e < row.nnz; ++e) {
-      (*out.columns_[row.cols[e]])[i] = row.labels[e];
-    }
   }
-  out.rows_built_ = true;
+  out.SumMoments(num_cols());
   return out;
 }
 
@@ -306,7 +246,7 @@ double LabelMatrix::OverallCoverage() const {
   if (num_rows_ == 0) return 0.0;
   int active = 0;
   for (int i = 0; i < num_rows_; ++i) {
-    if (active_count_[i] > 0) ++active;
+    if (AnyActive(i)) ++active;
   }
   return static_cast<double>(active) / num_rows_;
 }
@@ -383,20 +323,28 @@ LabelMatrix ApplyLfs(const std::vector<LfPtr>& lfs, const Dataset& dataset) {
   const int n = dataset.size();
   LabelMatrix matrix(n);
   const std::optional<KeywordIndex> index = KeywordIndex::Build(lfs);
-  if (!index.has_value()) {
-    for (const auto& lf : lfs) matrix.AddColumn(ApplyLf(*lf, dataset));
-    return matrix;
-  }
-  std::vector<std::vector<int8_t>> cols(
-      lfs.size(), std::vector<int8_t>(n, static_cast<int8_t>(kAbstain)));
+  std::vector<int32_t> cols;
+  std::vector<int8_t> labels;
   for (int i = 0; i < n; ++i) {
-    for (const auto& [token, count] : dataset.example(i).term_counts) {
-      (void)count;  // presence decides, matching Example::HasToken
-      const ActiveRowView hits = index->Find(token);
-      for (int e = 0; e < hits.nnz; ++e) cols[hits.cols[e]][i] = hits.labels[e];
+    const Example& example = dataset.example(i);
+    if (index.has_value()) {
+      index->FiringLfs(example, &cols, &labels);
+    } else {
+      cols.clear();
+      labels.clear();
+      for (size_t j = 0; j < lfs.size(); ++j) {
+        const int label = lfs[j]->Apply(example);
+        if (label == kAbstain) continue;
+        cols.push_back(static_cast<int32_t>(j));
+        labels.push_back(static_cast<int8_t>(label));
+      }
     }
+    matrix.row_cols_.insert(matrix.row_cols_.end(), cols.begin(), cols.end());
+    matrix.row_labels_.insert(matrix.row_labels_.end(), labels.begin(),
+                              labels.end());
+    matrix.row_ptr_[i + 1] = static_cast<int64_t>(matrix.row_cols_.size());
   }
-  for (std::vector<int8_t>& col : cols) matrix.AddColumn(std::move(col));
+  matrix.SumMoments(static_cast<int>(lfs.size()));
   return matrix;
 }
 

@@ -2,7 +2,6 @@
 #define ACTIVEDP_LF_LF_APPLIER_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -15,7 +14,7 @@ namespace activedp {
 
 /// One row of the weak-label matrix restricted to its non-abstain entries:
 /// ascending column ids with the weak label each LF voted. Valid until the
-/// owning LabelMatrix is next mutated.
+/// owning LabelMatrix is next changed (LabelMatrix::Relabel keeps it valid).
 struct ActiveRowView {
   const int32_t* cols = nullptr;
   const int8_t* labels = nullptr;
@@ -59,69 +58,55 @@ class SpinPairMoments {
 };
 
 /// The weak-label matrix W with W[i][j] = λ_j(x_i) ∈ {kAbstain, 0..C-1}
-/// (§2.1). Stored column-major (one column per LF) because frameworks add
-/// one LF per iteration; entries are int8 to keep full-scale matrices small.
-/// Columns are shared copy-on-write, so SelectColumns copies no column.
+/// (§2.1), stored as its non-abstain entries only: one row CSR view (each
+/// row's firing LFs in ascending column order, labels as int8), which is
+/// what the label models iterate, plus the LF pair-moment store
+/// (PairMoments) derived from it. Keyword LFs fire on a few percent of rows,
+/// so the matrix costs O(nnz) memory, not O(rows × LFs).
 ///
-/// Since most entries are abstains, the matrix also maintains a per-row
-/// active count (O(1) AnyActive, O(n) coverage), a row CSR view of the
-/// non-abstain entries (ActiveRow), which is what the label models iterate,
-/// and the LF pair-moment store (PairMoments). Both caches are built lazily
-/// on first use and from then on kept current: AddColumn merges the new
-/// column into them in O(n + nnz) time, SelectColumns derives the child's
-/// view and moments from the parent's, and SelectRows the child's view.
-/// Only Set invalidates them.
-///
-/// Thread rule: the lazy builds (EnsureRows, PairMoments, and the first
-/// SelectColumns / SelectRows of a matrix) write the caches, so they run on
-/// the owning thread before any other thread reads ActiveRow; reads
-/// afterwards are safe from any thread.
+/// Both are kept current by every operation. AddColumn merges one LF's
+/// outputs into the rows and the moments in O(n + nnz) time; SelectColumns
+/// derives the child's rows and moments from the parent's; SelectRows slices
+/// the rows and sums the child's moments once. Relabel changes the vote of
+/// an entry that fires, so the rows keep their shape. Every moment is an
+/// integer sum, so a derived or edited matrix equals one built from scratch
+/// bitwise. The matrix has no lazily built state: const methods only read,
+/// and a matrix shared between threads needs no synchronisation.
 class LabelMatrix {
  public:
   explicit LabelMatrix(int num_rows)
-      : num_rows_(num_rows), active_count_(num_rows, 0) {}
+      : num_rows_(num_rows), row_ptr_(num_rows + 1, 0) {}
 
   int num_rows() const { return num_rows_; }
-  int num_cols() const { return static_cast<int>(columns_.size()); }
+  int num_cols() const { return moments_.num_cols(); }
 
-  /// Appends one LF's outputs (length must equal num_rows). Built caches are
-  /// updated from the column's non-abstain rows, not rebuilt.
+  /// Appends one LF's outputs (length must equal num_rows) and drops the
+  /// dense vector: only the rows it fires on are kept.
   void AddColumn(std::vector<int8_t> column);
 
-  int At(int row, int col) const { return (*columns_[col])[row]; }
+  /// One entry; kAbstain where the LF does not fire. O(ActiveCount(row)).
+  int At(int row, int col) const;
 
-  /// Overwrites one entry (used by the Revising-LF baseline, which corrects
-  /// LF outputs on human-labelled instances). Drops the row view and the
-  /// moment store; the next use rebuilds them in full.
-  void Set(int row, int col, int value);
+  /// Overwrites the vote of an entry that fires with another class (the
+  /// Revising-LF baseline corrects LF outputs on human-labelled rows). The
+  /// row keeps its shape, so views of it stay valid; only that row's pair
+  /// moments change.
+  void Relabel(int row, int col, int label);
 
-  const std::vector<int8_t>& column(int col) const { return *columns_[col]; }
-
-  /// Weak labels of one row across all columns.
-  std::vector<int> Row(int row) const;
-
-  /// Weak labels of one row restricted to `cols`.
-  std::vector<int> Row(int row, const std::vector<int>& cols) const;
-
-  /// True if any LF fires on the row (optionally restricted to `cols`).
-  /// The all-columns overload is O(1) via the maintained active counts.
-  bool AnyActive(int row) const { return active_count_[row] > 0; }
-  bool AnyActive(int row, const std::vector<int>& cols) const;
+  /// True if any LF fires on the row. O(1).
+  bool AnyActive(int row) const { return ActiveCount(row) > 0; }
 
   /// Number of non-abstain entries in the row. O(1).
-  int ActiveCount(int row) const { return active_count_[row]; }
+  int ActiveCount(int row) const {
+    return static_cast<int>(row_ptr_[row + 1] - row_ptr_[row]);
+  }
 
-  /// Builds the row-major CSR view of non-abstain entries if it is not
-  /// built yet (see the thread rule above).
-  void EnsureRows() const;
-
-  /// Non-abstain entries of one row in ascending column order. Requires a
-  /// prior EnsureRows() since the last Set().
+  /// Non-abstain entries of one row in ascending column order. Valid until
+  /// the matrix is next changed by anything other than Relabel.
   ActiveRowView ActiveRow(int row) const;
 
-  /// The LF pair-moment store, built from the row view on first request
-  /// (see the thread rule above).
-  const SpinPairMoments& PairMoments() const;
+  /// The LF pair-moment store.
+  const SpinPairMoments& PairMoments() const { return moments_; }
 
   /// The spin encoding of the matrix as CSR: one row per example holding
   /// ToSpin(label) = +1 / -1 at each active column (abstains dropped).
@@ -129,41 +114,38 @@ class LabelMatrix {
   CsrMatrix SpinCsr() const;
 
   /// New matrix containing only the selected columns, in the given order
-  /// (repeats allowed). Shares the columns; the child's row view and moment
-  /// store come from the parent's (the parent's are built first if needed).
+  /// (repeats allowed). Its rows and moments come from the parent's.
   LabelMatrix SelectColumns(const std::vector<int>& cols) const;
 
-  /// New matrix containing only the selected rows, in the given order. The
-  /// child's row view is sliced from the parent's; its columns are
-  /// scattered from that view.
+  /// New matrix containing only the selected rows, in the given order
+  /// (repeats allowed).
   LabelMatrix SelectRows(const std::vector<int>& rows) const;
 
   /// Fraction of rows with at least one non-abstain entry. O(num_rows).
   double OverallCoverage() const;
 
  private:
-  /// Adds `column` (about to become column num_cols()) to the built moment
-  /// store, reading each firing row's earlier entries from the row view.
-  /// `fires` = the rows it fires on, ascending.
+  friend LabelMatrix ApplyLfs(const std::vector<LfPtr>& lfs,
+                              const Dataset& dataset);
+
+  /// Recomputes the moment store of `num_cols` columns from the rows.
+  void SumMoments(int num_cols);
+  /// Adds `column` (about to become column num_cols()) to the moment store,
+  /// reading each firing row's earlier entries. `fires` = the rows it fires
+  /// on, ascending.
   void AddColumnMoments(const std::vector<int8_t>& column,
-                        const std::vector<int32_t>& fires) const;
-  /// Inserts `column` (about to become column num_cols()) into the built row
-  /// view as the last entry of each row in `fires`, shifting the view in
-  /// place from the back.
+                        const std::vector<int32_t>& fires);
+  /// Inserts `column` (about to become column num_cols()) into the rows as
+  /// the last entry of each row in `fires`, shifting them in place from the
+  /// back.
   void MergeColumnIntoRows(const std::vector<int8_t>& column,
-                           const std::vector<int32_t>& fires) const;
+                           const std::vector<int32_t>& fires);
 
   int num_rows_;
-  std::vector<std::shared_ptr<std::vector<int8_t>>> columns_;
-  std::vector<int32_t> active_count_;  // non-abstain entries per row
-
-  // Lazily built CSR view over the non-abstain entries (see EnsureRows).
-  mutable bool rows_built_ = false;
-  mutable std::vector<int64_t> row_ptr_;
-  mutable std::vector<int32_t> row_cols_;
-  mutable std::vector<int8_t> row_labels_;
-  // Lazily built pair moments; engaged only while rows_built_.
-  mutable std::optional<SpinPairMoments> moments_;
+  std::vector<int64_t> row_ptr_;  // num_rows_ + 1 row boundaries
+  std::vector<int32_t> row_cols_;
+  std::vector<int8_t> row_labels_;
+  SpinPairMoments moments_;
 };
 
 /// Flat inverted index of a keyword-only LF set: token id -> the (column,
@@ -207,10 +189,10 @@ class KeywordIndex {
 /// Applies one LF to every example of `dataset`.
 std::vector<int8_t> ApplyLf(const LabelFunction& lf, const Dataset& dataset);
 
-/// Applies a set of LFs, producing the label matrix. When every LF is a
-/// KeywordLf, fills the columns from a KeywordIndex in one pass over each
-/// example's term counts instead of per-LF virtual calls — the output is
-/// identical either way.
+/// Applies a set of LFs, producing the label matrix row by row. When every
+/// LF is a KeywordLf, a row's entries come from a KeywordIndex lookup of its
+/// tokens instead of per-LF virtual calls — the output is identical either
+/// way. The pair moments are summed once at the end.
 LabelMatrix ApplyLfs(const std::vector<LfPtr>& lfs, const Dataset& dataset);
 
 /// Coverage and accuracy statistics of one LF column against ground truth.

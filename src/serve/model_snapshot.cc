@@ -1,7 +1,6 @@
 #include "serve/model_snapshot.h"
 
 #include <cmath>
-#include <limits>
 #include <map>
 #include <span>
 #include <utility>
@@ -37,39 +36,6 @@ Status ValidateFeaturizerState(const SnapshotState& state) {
   return Status::Ok();
 }
 
-/// Every LF must vote a class of the snapshot (weak labels travel as int8,
-/// as in LabelMatrix) and read only what a served row carries: a keyword id
-/// inside [0, feature_dim), which also bounds the keyword index, and a stump
-/// feature inside a tabular row.
-Status ValidateLfs(const SnapshotState& state) {
-  for (size_t j = 0; j < state.lfs.size(); ++j) {
-    const LabelFunction& lf = *state.lfs[j];
-    const std::string where = "snapshot LF " + std::to_string(j) + " (" +
-                              lf.Name() + ")";
-    if (lf.label() < 0 || lf.label() >= state.num_classes ||
-        lf.label() > std::numeric_limits<int8_t>::max()) {
-      return Status::InvalidArgument(
-          where + " votes class " + std::to_string(lf.label()) + " of " +
-          std::to_string(state.num_classes));
-    }
-    if (const auto* kw = dynamic_cast<const KeywordLf*>(&lf)) {
-      if (kw->token_id() < 0 || kw->token_id() >= state.feature_dim) {
-        return Status::InvalidArgument(
-            where + " reads token " + std::to_string(kw->token_id()) +
-            " outside feature_dim " + std::to_string(state.feature_dim));
-      }
-    } else if (const auto* stump = dynamic_cast<const ThresholdLf*>(&lf)) {
-      if (state.task != TaskType::kTabularClassification ||
-          stump->feature() < 0 || stump->feature() >= state.feature_dim) {
-        return Status::InvalidArgument(
-            where + " reads feature " + std::to_string(stump->feature()) +
-            ", which a served row of this snapshot does not have");
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<ModelSnapshot> ModelSnapshot::Create(SnapshotState state) {
@@ -89,7 +55,8 @@ Result<ModelSnapshot> ModelSnapshot::Create(SnapshotState state) {
     return Status::InvalidArgument("snapshot threshold outside [0, 1]");
   }
   RETURN_IF_ERROR(ValidateFeaturizerState(state));
-  RETURN_IF_ERROR(ValidateLfs(state));
+  RETURN_IF_ERROR(ValidateLfs(state.lfs, state.num_classes, state.task,
+                              state.feature_dim));
   if (state.label_model_name.empty() && !state.al_weights.has_value()) {
     return Status::InvalidArgument(
         "snapshot has neither a label model nor AL weights");

@@ -96,7 +96,6 @@ TEST_P(IncrementalSessionTest, NextQueryMatchesFromScratchAdpEveryStep) {
           selected.push_back(pipeline.lfs()[j]);
         }
         const LabelMatrix matrix = ApplyLfs(selected, split->train);
-        matrix.EnsureRows();
         lm.Resize(n, context.num_classes);
         for (int i = 0; i < n; ++i) {
           lm.SetRow(i, pipeline.label_model()

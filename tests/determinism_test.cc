@@ -115,7 +115,7 @@ uint64_t RunPipelineDigest(uint64_t seed) {
   }
   const LabelMatrix matrix = ApplyLfs(lfs, data);
   for (int j = 0; j < matrix.num_cols(); ++j) {
-    for (int8_t v : matrix.column(j)) hasher.Add(static_cast<int>(v));
+    for (int i = 0; i < matrix.num_rows(); ++i) hasher.Add(matrix.At(i, j));
   }
 
   // Stage: the spin Gram matrix straight off the CSR row view.

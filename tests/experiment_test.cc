@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
 #include "data/dataset_zoo.h"
 
 namespace activedp {
@@ -150,6 +155,40 @@ TEST(RunExperimentTest, ParallelSeedsMatchSerial) {
   ASSERT_EQ(serial->test_accuracy.size(), parallel->test_accuracy.size());
   for (size_t i = 0; i < serial->test_accuracy.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial->test_accuracy[i], parallel->test_accuracy[i]);
+  }
+}
+
+TEST(RunExperimentTest, SeedExceptionStopsClaimsAndIsRethrownAfterJoin) {
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    std::atomic<int> started{0};
+    std::atomic<int> running{0};
+    std::atomic<bool> thrown{false};
+    try {
+      ForEachSeed(50, threads, [&](int s) {
+        started.fetch_add(1);
+        running.fetch_add(1);
+        if (s == 2) {
+          running.fetch_sub(1);
+          thrown.store(true);
+          throw std::runtime_error("seed 2 failed");
+        }
+        if (s > 2) {
+          // Later seeds outlast the failure, so a join that did not wait
+          // for them would leave `running` above 0.
+          while (!thrown.load()) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        running.fetch_sub(1);
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "seed 2 failed");
+    }
+    EXPECT_EQ(running.load(), 0);
+    // Seeds 0-2, plus at most one claimed seed per other thread.
+    EXPECT_GE(started.load(), 3);
+    EXPECT_LE(started.load(), 2 + threads);
   }
 }
 

@@ -1,23 +1,23 @@
-// Differential tests of LabelMatrix's incrementally maintained state: after
-// every AddColumn / Set / SelectColumns / SelectRows, the row view, active
-// counts, spin CSR and pair-moment store must equal those of a matrix
-// rebuilt from scratch out of the same columns, and label models fitted on
-// a derived matrix must serialize exactly like models fitted on a fresh one.
+// Differential tests of LabelMatrix against a dense reference: after every
+// AddColumn / Relabel / SelectColumns / SelectRows, each entry, each row's
+// firing entries, the spin CSR and the pair-moment store must equal what a
+// brute-force scan of the same dense columns gives, and label models fitted
+// on a derived matrix must serialize exactly like models fitted on a fresh
+// one.
 
 #include "lf/lf_applier.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "labelmodel/dawid_skene.h"
+#include "labelmodel/generative_model.h"
 #include "labelmodel/majority_vote.h"
 #include "labelmodel/metal_completion.h"
 #include "labelmodel/metal_model.h"
-#include "math/matrix.h"
 #include "util/rng.h"
 
 namespace activedp {
@@ -40,61 +40,65 @@ std::vector<int8_t> RandomColumn(int num_rows, int num_classes, Rng& rng) {
   return column;
 }
 
-LabelMatrix FromScratch(const Columns& columns, int num_rows) {
+LabelMatrix FromColumns(const Columns& columns, int num_rows) {
   LabelMatrix matrix(num_rows);
   for (const auto& column : columns) matrix.AddColumn(column);
   return matrix;
 }
 
 Columns ColumnsOf(const LabelMatrix& matrix) {
-  Columns out;
-  for (int j = 0; j < matrix.num_cols(); ++j) out.push_back(matrix.column(j));
+  Columns out(matrix.num_cols(), std::vector<int8_t>(matrix.num_rows()));
+  for (int j = 0; j < matrix.num_cols(); ++j) {
+    for (int i = 0; i < matrix.num_rows(); ++i) {
+      out[j][i] = static_cast<int8_t>(matrix.At(i, j));
+    }
+  }
   return out;
 }
 
 int Spin(int label) { return label == 1 ? 1 : -1; }
 
-/// Asserts that `actual` holds exactly `expected` and that every derived
-/// structure equals the from-scratch one bitwise. The pair-moment store is
-/// also checked against a brute-force sum over the dense columns and against
-/// the Gram matrix of the spin CSR.
-void ExpectMatchesFromScratch(const LabelMatrix& actual,
-                              const Columns& expected, int num_rows,
-                              const std::string& where) {
+/// Asserts that `actual` holds exactly the dense `expected` columns. Every
+/// reference value is a direct scan of `expected`; none comes from another
+/// LabelMatrix.
+void ExpectMatchesDense(const LabelMatrix& actual, const Columns& expected,
+                        int num_rows, const std::string& where) {
   SCOPED_TRACE(where);
   ASSERT_EQ(actual.num_rows(), num_rows);
-  ASSERT_EQ(actual.num_cols(), static_cast<int>(expected.size()));
-  for (int j = 0; j < actual.num_cols(); ++j) {
-    ASSERT_EQ(actual.column(j), expected[j]) << "column " << j;
-  }
-  const LabelMatrix reference = FromScratch(expected, num_rows);
-  actual.EnsureRows();
-  reference.EnsureRows();
-  for (int i = 0; i < num_rows; ++i) {
-    ASSERT_EQ(actual.ActiveCount(i), reference.ActiveCount(i)) << "row " << i;
-    const ActiveRowView a = actual.ActiveRow(i);
-    const ActiveRowView r = reference.ActiveRow(i);
-    ASSERT_EQ(a.nnz, r.nnz) << "row " << i;
-    ASSERT_TRUE(std::equal(a.cols, a.cols + a.nnz, r.cols)) << "row " << i;
-    ASSERT_TRUE(std::equal(a.labels, a.labels + a.nnz, r.labels))
-        << "row " << i;
-  }
-
+  const int m = static_cast<int>(expected.size());
+  ASSERT_EQ(actual.num_cols(), m);
+  int covered = 0;
   const CsrMatrix spins = actual.SpinCsr();
-  const CsrMatrix reference_spins = reference.SpinCsr();
-  ASSERT_EQ(spins.nnz(), reference_spins.nnz());
+  ASSERT_EQ(spins.rows(), num_rows);
   for (int i = 0; i < num_rows; ++i) {
-    ASSERT_EQ(spins.RowNnz(i), reference_spins.RowNnz(i));
-    for (int k = 0; k < spins.RowNnz(i); ++k) {
-      ASSERT_EQ(spins.RowIndices(i)[k], reference_spins.RowIndices(i)[k]);
-      ASSERT_EQ(spins.RowValues(i)[k], reference_spins.RowValues(i)[k]);
+    std::vector<int32_t> cols;
+    std::vector<int8_t> labels;
+    for (int j = 0; j < m; ++j) {
+      ASSERT_EQ(actual.At(i, j), expected[j][i]) << "entry " << i << "," << j;
+      if (expected[j][i] == kAbstain) continue;
+      cols.push_back(j);
+      labels.push_back(expected[j][i]);
+    }
+    const int nnz = static_cast<int>(cols.size());
+    covered += nnz > 0;
+    ASSERT_EQ(actual.ActiveCount(i), nnz) << "row " << i;
+    ASSERT_EQ(actual.AnyActive(i), nnz > 0) << "row " << i;
+    const ActiveRowView row = actual.ActiveRow(i);
+    ASSERT_EQ(row.nnz, nnz) << "row " << i;
+    ASSERT_EQ(spins.RowNnz(i), nnz) << "row " << i;
+    for (int k = 0; k < nnz; ++k) {
+      ASSERT_EQ(row.cols[k], cols[k]) << "row " << i;
+      ASSERT_EQ(row.labels[k], labels[k]) << "row " << i;
+      ASSERT_EQ(spins.RowIndices(i)[k], cols[k]) << "row " << i;
+      ASSERT_EQ(spins.RowValues(i)[k], static_cast<double>(Spin(labels[k])))
+          << "row " << i;
     }
   }
+  ASSERT_EQ(actual.OverallCoverage(),
+            num_rows == 0 ? 0.0 : static_cast<double>(covered) / num_rows);
 
   const SpinPairMoments& moments = actual.PairMoments();
-  ASSERT_TRUE(moments == reference.PairMoments());
-  const Matrix gram = reference_spins.SelfInnerProduct();
-  const int m = actual.num_cols();
+  ASSERT_EQ(moments.num_cols(), m);
   for (int a = 0; a < m; ++a) {
     for (int b = 0; b < m; ++b) {
       int sum = 0, count = 0;
@@ -105,8 +109,8 @@ void ExpectMatchesFromScratch(const LabelMatrix& actual,
       }
       ASSERT_EQ(moments.Sum(a, b), sum) << a << "," << b;
       ASSERT_EQ(moments.Count(a, b), count) << a << "," << b;
-      ASSERT_EQ(static_cast<double>(moments.Sum(a, b)), gram(a, b));
     }
+    ASSERT_EQ(moments.Active(a), moments.Count(a, a));
   }
 }
 
@@ -138,7 +142,14 @@ std::vector<int> RandomSelection(int num_cols, Rng& rng) {
   return cols;
 }
 
-TEST(LabelMatrixDifferentialTest, InterleavedOperationsMatchFromScratch) {
+/// Random rows: repeats and any order.
+std::vector<int> RandomRows(int num_rows, Rng& rng) {
+  std::vector<int> rows(rng.UniformInt(1, 60));
+  for (int& r : rows) r = rng.UniformInt(num_rows);
+  return rows;
+}
+
+TEST(LabelMatrixDifferentialTest, InterleavedOperationsMatchDenseReference) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     const int num_classes = seed % 2 == 0 ? 2 : 3;
@@ -149,18 +160,9 @@ TEST(LabelMatrixDifferentialTest, InterleavedOperationsMatchFromScratch) {
       expected.push_back(RandomColumn(n, num_classes, rng));
       matrix.AddColumn(expected.back());
     }
+    ExpectMatchesDense(matrix, expected, n, "start, seed " +
+                                                std::to_string(seed));
     for (int step = 0; step < 40; ++step) {
-      // Leave the caches unbuilt, or build the row view only, or both, so
-      // every operation runs against each cache state.
-      switch (rng.UniformInt(3)) {
-        case 0:
-          break;
-        case 1:
-          matrix.EnsureRows();
-          break;
-        default:
-          matrix.PairMoments();
-      }
       const int m = matrix.num_cols();
       std::string op;
       switch (m == 0 ? 0 : rng.UniformInt(6)) {
@@ -172,13 +174,16 @@ TEST(LabelMatrixDifferentialTest, InterleavedOperationsMatchFromScratch) {
           break;
         }
         case 2: {
-          op = "Set";
+          op = "Relabel";
+          // Every firing entry of one random row, as the Revising-LF
+          // baseline does; an all-abstain row leaves the matrix as it is.
           const int row = rng.UniformInt(n);
-          const int col = rng.UniformInt(m);
-          // -1 is kAbstain.
-          const int value = rng.UniformInt(num_classes + 1) - 1;
-          expected[col][row] = static_cast<int8_t>(value);
-          matrix.Set(row, col, value);
+          const int label = rng.UniformInt(num_classes);
+          for (int j = 0; j < m; ++j) {
+            if (expected[j][row] == kAbstain) continue;
+            expected[j][row] = static_cast<int8_t>(label);
+            matrix.Relabel(row, j, label);
+          }
           break;
         }
         case 3:
@@ -187,21 +192,19 @@ TEST(LabelMatrixDifferentialTest, InterleavedOperationsMatchFromScratch) {
           const std::vector<int> cols = RandomSelection(m, rng);
           Columns selected;
           for (int j : cols) selected.push_back(expected[j]);
-          const Columns parent_expected = expected;
           LabelMatrix child = matrix.SelectColumns(cols);
           // The parent is unchanged by the selection and keeps working.
-          ExpectMatchesFromScratch(matrix, parent_expected, n,
-                                   "parent after SelectColumns, seed " +
-                                       std::to_string(seed));
+          ExpectMatchesDense(matrix, expected, n,
+                             "parent after SelectColumns, seed " +
+                                 std::to_string(seed));
           matrix = std::move(child);
           expected = std::move(selected);
           break;
         }
         default: {
           op = "SelectRows";
-          const int k = rng.UniformInt(1, 60);
-          std::vector<int> rows(k);
-          for (int& r : rows) r = rng.UniformInt(n);
+          const std::vector<int> rows = RandomRows(n, rng);
+          const int k = static_cast<int>(rows.size());
           for (auto& column : expected) {
             std::vector<int8_t> selected(k);
             for (int i = 0; i < k; ++i) selected[i] = column[rows[i]];
@@ -211,15 +214,15 @@ TEST(LabelMatrixDifferentialTest, InterleavedOperationsMatchFromScratch) {
           n = k;
         }
       }
-      ExpectMatchesFromScratch(matrix, expected, n,
-                               op + ", seed " + std::to_string(seed) +
-                                   ", step " + std::to_string(step));
+      ExpectMatchesDense(matrix, expected, n,
+                         op + ", seed " + std::to_string(seed) + ", step " +
+                             std::to_string(step));
       if (HasFatalFailure()) return;
     }
   }
 }
 
-TEST(LabelMatrixDifferentialTest, SelectedColumnsAreCopyOnWrite) {
+TEST(LabelMatrixDifferentialTest, DerivedMatricesAreIndependent) {
   Rng rng(7);
   const int n = 30;
   Columns expected;
@@ -228,19 +231,25 @@ TEST(LabelMatrixDifferentialTest, SelectedColumnsAreCopyOnWrite) {
     expected.push_back(RandomColumn(n, 2, rng));
     parent.AddColumn(expected.back());
   }
-  parent.PairMoments();
+  // Row 4 fires on every column, so both relabels below hit a vote.
+  for (int j = 0; j < 5; ++j) expected[j][4] = 1;
+  parent = FromColumns(expected, n);
   LabelMatrix child = parent.SelectColumns({3, 1});
   Columns child_expected = {expected[3], expected[1]};
+  LabelMatrix rows = parent.SelectRows({4, 4, 0});
 
-  child.Set(4, 0, expected[3][4] == 1 ? 0 : 1);
-  child_expected[0][4] = expected[3][4] == 1 ? 0 : 1;
-  parent.Set(5, 1, kAbstain);
-  expected[1][5] = static_cast<int8_t>(kAbstain);
+  child.Relabel(4, 0, 0);
+  child_expected[0][4] = 0;
+  parent.Relabel(4, 1, 0);
+  expected[1][4] = 0;
   expected.push_back(RandomColumn(n, 2, rng));
   parent.AddColumn(expected.back());
 
-  ExpectMatchesFromScratch(parent, expected, n, "parent");
-  ExpectMatchesFromScratch(child, child_expected, n, "child");
+  ExpectMatchesDense(parent, expected, n, "parent");
+  ExpectMatchesDense(child, child_expected, n, "child");
+  Columns rows_expected;
+  for (int j = 0; j < 5; ++j) rows_expected.push_back({1, 1, expected[j][0]});
+  ExpectMatchesDense(rows, rows_expected, 3, "row selection");
 }
 
 /// Binary or 3-class weak labels with a hidden ground truth: LF j fires
@@ -249,7 +258,6 @@ LabelMatrix RandomLabelMatrix(int n, int m, int num_classes, Rng& rng) {
   std::vector<int> truth(n);
   for (int& y : truth) y = rng.UniformInt(num_classes);
   LabelMatrix matrix(n);
-  matrix.PairMoments();  // from here on every column is merged in
   for (int j = 0; j < m; ++j) {
     const double coverage = rng.Uniform(0.05, 0.6);
     const double accuracy = rng.Uniform(0.55, 0.9);
@@ -272,9 +280,13 @@ std::vector<std::unique_ptr<LabelModel>> ModelsFor(int num_classes) {
   if (num_classes == 2) {
     models.push_back(std::make_unique<MetalModel>());
     models.push_back(std::make_unique<MetalCompletionModel>());
+    models.push_back(std::make_unique<GenerativeModel>());
   }
   models.push_back(std::make_unique<MajorityVoteModel>());
   models.push_back(std::make_unique<DawidSkeneModel>());
+  DawidSkeneOptions fired_only;
+  fired_only.model_abstentions = false;
+  models.push_back(std::make_unique<DawidSkeneModel>(fired_only));
   return models;
 }
 
@@ -324,7 +336,7 @@ TEST(LabelMatrixDifferentialTest, FitsOnDerivedMatricesMatchFreshOnes) {
     for (const auto& cols : selections) {
       const LabelMatrix derived = base.SelectColumns(cols);
       const LabelMatrix fresh =
-          FromScratch(ColumnsOf(derived), derived.num_rows());
+          FromColumns(ColumnsOf(derived), derived.num_rows());
       EXPECT_EQ(FitAll(derived, num_classes), FitAll(fresh, num_classes))
           << "seed " << seed << ", " << cols.size() << " columns";
     }
@@ -333,7 +345,7 @@ TEST(LabelMatrixDifferentialTest, FitsOnDerivedMatricesMatchFreshOnes) {
     for (int i = 0; i < base.num_rows(); i += 7) rows.push_back(i);
     const LabelMatrix sliced = base.SelectColumns(ascending).SelectRows(rows);
     EXPECT_EQ(FitAll(sliced, num_classes),
-              FitAll(FromScratch(ColumnsOf(sliced), sliced.num_rows()),
+              FitAll(FromColumns(ColumnsOf(sliced), sliced.num_rows()),
                      num_classes))
         << "seed " << seed << " row subset";
   }

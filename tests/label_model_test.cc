@@ -66,7 +66,11 @@ TEST_P(LabelModelParamTest, ProbabilitiesAreDistributions) {
   auto model = MakeLabelModel(GetParam());
   ASSERT_TRUE(model->Fit(problem.matrix, 2).ok());
   for (int i = 0; i < 50; ++i) {
-    const std::vector<double> p = model->PredictProba(problem.matrix.Row(i)).value();
+    std::vector<int> row(problem.matrix.num_cols());
+    for (size_t j = 0; j < row.size(); ++j) {
+      row[j] = problem.matrix.At(i, static_cast<int>(j));
+    }
+    const std::vector<double> p = model->PredictProba(row).value();
     ASSERT_EQ(p.size(), 2u);
     EXPECT_NEAR(p[0] + p[1], 1.0, 1e-9);
     EXPECT_GE(p[0], 0.0);

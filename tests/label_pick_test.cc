@@ -18,7 +18,11 @@ std::vector<LfColumnStats> Stats(const LabelMatrix& valid,
                                  const std::vector<int>& labels) {
   std::vector<LfColumnStats> stats;
   for (int j = 0; j < valid.num_cols(); ++j) {
-    stats.push_back(ComputeColumnStats(valid.column(j), labels));
+    std::vector<int8_t> column(valid.num_rows());
+    for (int i = 0; i < valid.num_rows(); ++i) {
+      column[i] = static_cast<int8_t>(valid.At(i, j));
+    }
+    stats.push_back(ComputeColumnStats(column, labels));
   }
   return stats;
 }

@@ -128,8 +128,11 @@ TEST(KeywordIndexTest, FiringLfsAndApplyLfsMatchThePerLfLoop) {
     const LabelMatrix matrix = ApplyLfs(lfs, dataset);
     ASSERT_EQ(matrix.num_cols(), static_cast<int>(lfs.size()));
     for (size_t j = 0; j < lfs.size(); ++j) {
-      EXPECT_EQ(matrix.column(static_cast<int>(j)), ApplyLf(*lfs[j], dataset))
-          << "trial " << trial << " column " << j;
+      const std::vector<int8_t> column = ApplyLf(*lfs[j], dataset);
+      for (int i = 0; i < matrix.num_rows(); ++i) {
+        ASSERT_EQ(matrix.At(i, static_cast<int>(j)), column[i])
+            << "trial " << trial << " column " << j << " row " << i;
+      }
     }
   }
 }
@@ -148,26 +151,24 @@ TEST(KeywordIndexTest, OnlyKeywordSetsAreIndexed) {
   }
 }
 
-TEST(LabelMatrixTest, RowAndActivity) {
+TEST(LabelMatrixTest, EntriesAndActivity) {
   LabelMatrix matrix(3);
   matrix.AddColumn({1, -1, 0});
   matrix.AddColumn({-1, -1, 1});
-  EXPECT_EQ(matrix.Row(0), (std::vector<int>{1, -1}));
-  EXPECT_EQ(matrix.Row(2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(matrix.At(0, 0), 1);
+  EXPECT_EQ(matrix.At(0, 1), kAbstain);
+  EXPECT_EQ(matrix.At(2, 0), 0);
+  EXPECT_EQ(matrix.At(2, 1), 1);
   EXPECT_TRUE(matrix.AnyActive(0));
   EXPECT_FALSE(matrix.AnyActive(1));
   EXPECT_TRUE(matrix.AnyActive(2));
-  EXPECT_FALSE(matrix.AnyActive(1, {0, 1}));
-  EXPECT_TRUE(matrix.AnyActive(0, {0}));
-  EXPECT_FALSE(matrix.AnyActive(0, {1}));
-}
-
-TEST(LabelMatrixTest, RowRestrictedToColumns) {
-  LabelMatrix matrix(1);
-  matrix.AddColumn({0});
-  matrix.AddColumn({1});
-  matrix.AddColumn({-1});
-  EXPECT_EQ(matrix.Row(0, {2, 0}), (std::vector<int>{-1, 0}));
+  const ActiveRowView row = matrix.ActiveRow(2);
+  ASSERT_EQ(row.nnz, 2);
+  EXPECT_EQ(row.cols[0], 0);
+  EXPECT_EQ(row.labels[0], 0);
+  EXPECT_EQ(row.cols[1], 1);
+  EXPECT_EQ(row.labels[1], 1);
+  EXPECT_EQ(matrix.ActiveRow(1).nnz, 0);
 }
 
 TEST(LabelMatrixTest, SelectColumnsAndRows) {
@@ -183,11 +184,14 @@ TEST(LabelMatrixTest, SelectColumnsAndRows) {
   EXPECT_EQ(rows.At(1, 0), 1);
 }
 
-TEST(LabelMatrixTest, SetOverwritesEntry) {
+TEST(LabelMatrixTest, RelabelOverwritesAFiringEntry) {
   LabelMatrix matrix(2);
   matrix.AddColumn({1, -1});
-  matrix.Set(1, 0, 0);
-  EXPECT_EQ(matrix.At(1, 0), 0);
+  matrix.Relabel(0, 0, 0);
+  EXPECT_EQ(matrix.At(0, 0), 0);
+  EXPECT_EQ(matrix.At(1, 0), kAbstain);
+  // Only a vote can be relabelled: the row's shape never changes.
+  EXPECT_DEATH(matrix.Relabel(1, 0, 0), "abstains");
 }
 
 TEST(LabelMatrixTest, OverallCoverage) {

@@ -7,6 +7,7 @@
 
 #include "core/activedp.h"
 #include "core/framework.h"
+#include "data/synthetic_tabular.h"
 #include "data/synthetic_text.h"
 #include "util/rng.h"
 
@@ -248,6 +249,95 @@ TEST(SessionIoTest, RestoreRejectsUsedPipeline) {
   ASSERT_TRUE(pipeline.Step().ok());
   EXPECT_EQ(pipeline.Restore(SessionState{}).code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// A session whose entry `bad` is replaced by `lf` / `query` / `pseudo`
+/// after two valid entries, so a restore that applied entries one by one
+/// would have changed the pipeline before reaching it.
+SessionState WithBadEntry(const SessionState& valid, LfPtr lf, int query,
+                          int pseudo) {
+  SessionState state;
+  for (size_t i = 0; i < 2; ++i) {
+    state.lfs.push_back(valid.lfs[i]);
+    state.query_indices.push_back(valid.query_indices[i]);
+    state.pseudo_labels.push_back(valid.pseudo_labels[i]);
+  }
+  state.lfs.push_back(std::move(lf));
+  state.query_indices.push_back(query);
+  state.pseudo_labels.push_back(pseudo);
+  return state;
+}
+
+TEST(SessionIoTest, RestoreRefusesInvalidSessionsAndStaysFresh) {
+  SyntheticTabularConfig config;
+  config.num_examples = 300;
+  config.num_features = 6;
+  Rng rng(37);
+  const Dataset full = GenerateSyntheticTabular(config, rng);
+  Rng split_rng(41);
+  const DataSplit split = SplitDataset(full, 0.8, 0.1, split_rng);
+  FrameworkContext context = FrameworkContext::Build(split);
+  const int n = split.train.size();
+  ASSERT_EQ(context.feature_dim, 6);
+  ActiveDpOptions options;
+  options.seed = 43;
+
+  // A valid session to build the bad ones from.
+  ActiveDp source(context, options);
+  for (int t = 0; t < 4; ++t) ASSERT_TRUE(source.Step().ok());
+  const SessionState valid = source.Snapshot();
+  ASSERT_GE(valid.lfs.size(), 2u);
+  const LfPtr stump = valid.lfs[0];
+
+  struct Case {
+    std::string name;
+    SessionState state;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"stump feature at the row width",
+       WithBadEntry(valid,
+                    std::make_shared<ThresholdLf>(6, 0.0,
+                                                  StumpOp::kLessEqual, 0),
+                    -1, -1),
+       StatusCode::kInvalidArgument},
+      {"LF class outside [0, k)",
+       WithBadEntry(valid,
+                    std::make_shared<ThresholdLf>(1, 0.0,
+                                                  StumpOp::kGreaterEqual, 2),
+                    -1, -1),
+       StatusCode::kInvalidArgument},
+      {"LF class that wraps in int8",
+       WithBadEntry(valid,
+                    std::make_shared<ThresholdLf>(1, 0.0,
+                                                  StumpOp::kGreaterEqual,
+                                                  255),
+                    -1, -1),
+       StatusCode::kInvalidArgument},
+      {"keyword LF on a tabular row",
+       WithBadEntry(valid, std::make_shared<KeywordLf>(40, "w", 1), -1, -1),
+       StatusCode::kInvalidArgument},
+      {"query index past the training set",
+       WithBadEntry(valid, stump, n, -1), StatusCode::kOutOfRange},
+      {"negative query index other than -1",
+       WithBadEntry(valid, stump, -2, -1), StatusCode::kOutOfRange},
+      {"pseudo-label outside [0, k)",
+       WithBadEntry(valid, stump, 0, 2), StatusCode::kInvalidArgument},
+      {"negative pseudo-label other than -1",
+       WithBadEntry(valid, stump, 0, -3), StatusCode::kInvalidArgument},
+  };
+  ActiveDp pipeline(context, options);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(pipeline.Restore(c.state).code(), c.code);
+    EXPECT_TRUE(pipeline.lfs().empty());
+    EXPECT_TRUE(pipeline.query_indices().empty());
+    EXPECT_FALSE(pipeline.has_label_model());
+  }
+  // Still fresh: the valid session restores into the same pipeline.
+  ASSERT_TRUE(pipeline.Restore(valid).ok());
+  EXPECT_EQ(pipeline.lfs().size(), valid.lfs.size());
+  EXPECT_EQ(pipeline.query_indices(), source.query_indices());
 }
 
 TEST(SessionIoTest, EmptySessionRoundTrips) {

@@ -437,9 +437,10 @@ TEST(LabelModelParamsTest, AllModelsRoundTripPredictionsBitwise) {
     ASSERT_TRUE(restored.ok()) << name;
     ASSERT_TRUE((*restored)->RestoreParams(*params).ok()) << name;
     for (int i = 0; i < matrix.num_rows(); ++i) {
-      Result<std::vector<double>> a = (*fitted)->PredictProba(matrix.Row(i));
-      Result<std::vector<double>> b =
-          (*restored)->PredictProba(matrix.Row(i));
+      std::vector<int> row(matrix.num_cols());
+      for (int j = 0; j < matrix.num_cols(); ++j) row[j] = matrix.At(i, j);
+      Result<std::vector<double>> a = (*fitted)->PredictProba(row);
+      Result<std::vector<double>> b = (*restored)->PredictProba(row);
       ASSERT_TRUE(a.ok() && b.ok()) << name;
       EXPECT_EQ(*a, *b) << name << " row " << i;
     }

@@ -222,7 +222,6 @@ TEST(LabelMatrixTest, ActiveCountsAndRowsMatchReferenceScan) {
     const int rows = 1 + rng.UniformInt(50);
     const int cols = 1 + rng.UniformInt(10);
     LabelMatrix matrix = RandomLabelMatrix(rng, rows, cols, rng.Uniform());
-    matrix.EnsureRows();
     for (int i = 0; i < rows; ++i) {
       int expected_count = 0;
       std::vector<int32_t> expected_cols;
@@ -256,7 +255,7 @@ TEST(LabelMatrixTest, ActiveCountsAndRowsMatchReferenceScan) {
   }
 }
 
-TEST(LabelMatrixTest, SetInvalidatesCountsAndRows) {
+TEST(LabelMatrixTest, RelabelKeepsCountsAndRows) {
   LabelMatrix matrix(3);
   matrix.AddColumn({0, kAbstain, 1});
   matrix.AddColumn({kAbstain, kAbstain, 0});
@@ -264,24 +263,27 @@ TEST(LabelMatrixTest, SetInvalidatesCountsAndRows) {
   EXPECT_FALSE(matrix.AnyActive(1));
   EXPECT_EQ(matrix.ActiveCount(2), 2);
 
-  matrix.Set(1, 0, 1);        // abstain -> active
-  matrix.Set(2, 1, kAbstain); // active -> abstain
-  matrix.Set(0, 0, 1);        // active -> active (count unchanged)
+  matrix.Relabel(0, 0, 1);  // 0 -> 1
+  matrix.Relabel(2, 1, 1);  // 0 -> 1
+  matrix.Relabel(2, 0, 1);  // 1 -> 1 (unchanged)
   EXPECT_EQ(matrix.ActiveCount(0), 1);
-  EXPECT_TRUE(matrix.AnyActive(1));
-  EXPECT_EQ(matrix.ActiveCount(2), 1);
+  EXPECT_FALSE(matrix.AnyActive(1));
+  EXPECT_EQ(matrix.ActiveCount(2), 2);
 
-  matrix.EnsureRows();
   const ActiveRowView row2 = matrix.ActiveRow(2);
-  ASSERT_EQ(row2.nnz, 1);
+  ASSERT_EQ(row2.nnz, 2);
   EXPECT_EQ(row2.cols[0], 0);
   EXPECT_EQ(row2.labels[0], 1);
+  EXPECT_EQ(row2.cols[1], 1);
+  EXPECT_EQ(row2.labels[1], 1);
+  // Row 2 now votes +1 twice: its pair's spin sum went -1 -> +1.
+  EXPECT_EQ(matrix.PairMoments().Sum(0, 1), 1);
+  EXPECT_EQ(matrix.PairMoments().Count(0, 1), 1);
 }
 
 TEST(LabelModelTest, SparsePredictionsBitwiseEqualDense) {
   Rng rng(4242);
-  LabelMatrix matrix = RandomLabelMatrix(rng, 300, 12, 0.25);
-  matrix.EnsureRows();
+  const LabelMatrix matrix = RandomLabelMatrix(rng, 300, 12, 0.25);
 
   MetalModel metal;
   ASSERT_TRUE(metal.Fit(matrix, 2).ok());
@@ -294,7 +296,9 @@ TEST(LabelModelTest, SparsePredictionsBitwiseEqualDense) {
 
   for (const LabelModel* model : models) {
     for (int i = 0; i < matrix.num_rows(); ++i) {
-      const auto dense = model->PredictProba(matrix.Row(i));
+      std::vector<int> row(matrix.num_cols());
+      for (int j = 0; j < matrix.num_cols(); ++j) row[j] = matrix.At(i, j);
+      const auto dense = model->PredictProba(row);
       ASSERT_TRUE(dense.ok()) << dense.status().ToString();
       const auto sparse =
           model->PredictProbaSparse(matrix.ActiveRow(i), matrix.num_cols());
